@@ -3,10 +3,13 @@ package main
 // fleet.go is the real-process fleet mode: instead of kill–resume over
 // durable checkpoints, the driver runs a coordinator in-process, spawns
 // its workers as subprocesses of itself joined over a socket transport,
-// SIGKILLs some of them mid-run, and asserts the final state is
+// SIGKILLs some of them mid-run (ghost kills are timed by the
+// coordinator's committed round, wordcount kills by the wall clock),
+// and asserts the final state is
 // byte-identical to a clean in-process run of the same workload. This
 // is the end-to-end proof for internal/net: leases detect the deaths,
-// the supervisor respawns the ranks, rejoin re-dispatch keeps the
+// the supervisor respawns the ranks, and rejoin (a ghost rollback to
+// the last snapshot, a mapreduce task re-dispatch) keeps the
 // computation exact.
 
 import (
@@ -17,6 +20,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -101,33 +105,68 @@ func fleetListen(scheme, scratch, wl string) string {
 }
 
 // startKiller delivers up to kills SIGKILLs to worker ranks (skipping
-// rank 0 so every workload keeps at least one stable rank) at random
-// delays, until stop closes. Returns the delivered counter.
-func startKiller(procs *fleetProcs, workers, kills int, killMax time.Duration,
-	rng *rand.Rand, stop <-chan struct{}, log *obs.Logger) *atomic.Int64 {
+// rank 0 so every workload keeps at least one stable rank), the k-th
+// once due(k) returns; due reports false when the run is over first.
+// Returns the delivered counter.
+func startKiller(procs *fleetProcs, workers, kills int, due func(k int) bool, log *obs.Logger) *atomic.Int64 {
 	delivered := &atomic.Int64{}
-	delays := make([]time.Duration, kills)
-	victims := make([]int, kills)
-	for k := range delays {
-		delays[k] = time.Duration(rng.Int63n(int64(killMax)-5e6) + 5e6) // [5ms, killMax)
-		victims[k] = 1 + k%(workers-1)
-	}
 	go func() {
 		for k := 0; k < kills; k++ {
-			select {
-			case <-stop:
+			if !due(k) {
 				return
-			case <-time.After(delays[k]):
 			}
-			if procs.kill(victims[k]) {
+			victim := 1 + k%(workers-1)
+			if procs.kill(victim) {
 				delivered.Add(1)
 				log.Event(obs.LevelWarn, "chaos", "fleet worker SIGKILLed",
-					obs.Arg{Key: "rank", Value: int64(victims[k])},
+					obs.Arg{Key: "rank", Value: int64(victim)},
 					obs.Arg{Key: "kill", Value: delivered.Load()})
 			}
 		}
 	}()
 	return delivered
+}
+
+// afterDelays schedules the k-th kill a random delay in [5ms, killMax)
+// after the one before it.
+func afterDelays(rng *rand.Rand, kills int, killMax time.Duration, stop <-chan struct{}) func(int) bool {
+	delays := make([]time.Duration, kills)
+	for k := range delays {
+		delays[k] = time.Duration(rng.Int63n(int64(killMax)-5e6) + 5e6)
+	}
+	return func(k int) bool {
+		select {
+		case <-stop:
+			return false
+		case <-time.After(delays[k]):
+			return true
+		}
+	}
+}
+
+// atRounds schedules kills on the run's own clock: the k-th is due once
+// the ghost coordinator's committed round, as published on p, reaches
+// a random round in the middle of a run of the given length. Unlike a
+// wall-clock delay, this lands mid-run however fast the fleet is.
+func atRounds(rng *rand.Rand, kills, rounds int, p *obs.Progress, stop <-chan struct{}) func(int) bool {
+	at := make([]float64, kills)
+	for k := range at {
+		at[k] = float64(rounds/8 + rng.Intn(max(1, rounds*5/8)))
+	}
+	sort.Float64s(at)
+	p.Update("ghost", obs.F("round", 0)) // the stage may hold an earlier run's last round
+	return func(k int) bool {
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for p.Snapshot()["ghost"].Fields["round"] < at[k] {
+			select {
+			case <-stop:
+				return false
+			case <-tick.C:
+			}
+		}
+		return true
+	}
 }
 
 // fleetSoak runs one fleet workload against real SIGKILLed worker
@@ -154,8 +193,7 @@ func fleetSoak(self, wl, scratch, scheme string, kills int, killMax time.Duratio
 		Lease:     time.Second,
 		Spawn:     fleetSpawn(self, fleetWorkerName(wl), scheme, procs, quick),
 	}
-	delivered := startKiller(procs, workers, kills, killMax, rng, stop, log)
-
+	var delivered *atomic.Int64
 	var ref, got []byte
 	switch wl {
 	case "ghost", "ghost2d":
@@ -174,6 +212,11 @@ func fleetSoak(self, wl, scratch, scheme string, kills int, killMax time.Duratio
 		}
 		ref = sandpileState(refRep.Iterations, refRep.Topples, refRep.Absorbed, refG)
 
+		if sink.Progress == nil {
+			sink.Progress = obs.NewProgress(nil)
+		}
+		delivered = startKiller(procs, workers, kills,
+			atRounds(rng, kills, refRep.Exchanges, sink.Progress, stop), log)
 		g := sandpile.Center(grains).Build(size, size, nil)
 		rep, err := ghost.New(g, append(opts, ghost.WithFleet(fc), ghost.WithObs(sink))...).Run()
 		if err != nil {
@@ -188,6 +231,7 @@ func fleetSoak(self, wl, scratch, scheme string, kills int, killMax time.Duratio
 		}
 
 	case "wordcount":
+		delivered = startKiller(procs, workers, kills, afterDelays(rng, kills, killMax, stop), log)
 		lines := 60000
 		if quick {
 			lines = 20000
@@ -226,7 +270,7 @@ func fleetSoak(self, wl, scratch, scheme string, kills int, killMax time.Duratio
 }
 
 // fleetWorkerName maps a driver workload to the worker-side program:
-// 1-D and 2-D ghost share one worker (geometry travels per round).
+// 1-D and 2-D ghost share one worker (geometry travels in the load).
 func fleetWorkerName(wl string) string {
 	if wl == "ghost2d" {
 		return "ghost"

@@ -44,7 +44,7 @@ func main() {
 		kills     = flag.Int("kills", 3, "SIGKILLs to deliver before the final clean run")
 		seed      = flag.Int64("seed", 1, "seed for the kill-timing RNG")
 		dir       = flag.String("dir", "", "scratch directory (default: a fresh temp dir)")
-		killMax   = flag.Duration("kill-max", 1200*time.Millisecond, "upper bound on the random kill delay")
+		killMax   = flag.Duration("kill-max", 1200*time.Millisecond, "upper bound on the random kill delay (fleet mode: wordcount only; ghost kills are timed by round)")
 		quick     = flag.Bool("quick", false, "shrink workloads for fast CI soaks")
 		obsListen = flag.String("obs-listen", "", "worker telemetry address, forwarded to every launched worker (workers run one at a time, so they can share it); in -fleet mode the driver itself serves telemetry here instead")
 		worker    = flag.Bool("worker", false, "internal: run one workload with resume and write the state file")

@@ -1,9 +1,13 @@
 package ghost
 
 import (
+	"context"
 	"fmt"
+	"path/filepath"
+	"sync"
 	"testing"
 
+	pnet "repro/internal/net"
 	"repro/internal/sandpile"
 )
 
@@ -53,6 +57,56 @@ func BenchmarkRankScaling(b *testing.B) {
 				g := init.Clone()
 				b.StartTimer()
 				if _, err := Run(g, Params{Ranks: ranks, GhostWidth: 4}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkGhostFleet runs one solve per op over each transport, the
+// in-process ranks alongside as the yardstick: 192x192, 4 strips,
+// K=4, the fleet's workers as goroutines launched through Spawn.
+func BenchmarkGhostFleet(b *testing.B) {
+	init := sandpile.Center(30000).Build(192, 192, nil)
+	const ranks, k = 4, 4
+	b.Run("inproc", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := New(init.Clone(), WithRanks(ranks), WithWidth(k)).Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	for _, scheme := range []string{"chan", "unix", "tcp"} {
+		b.Run(scheme, func(b *testing.B) {
+			tr, err := pnet.New(scheme)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dir := b.TempDir()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				addr := map[string]string{
+					"chan": fmt.Sprintf("bench-ghost-fleet-%d", i),
+					"unix": filepath.Join(dir, fmt.Sprintf("%d.sock", i)),
+					"tcp":  "127.0.0.1:0",
+				}[scheme]
+				ctx, cancel := context.WithCancel(context.Background())
+				var wg sync.WaitGroup
+				fc := &pnet.FleetConfig{Transport: tr, Listen: addr,
+					Spawn: func(rank int, addr string) error {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							FleetWorker(ctx, pnet.WorkerConfig{Transport: tr, Join: addr, Rank: rank})
+						}()
+						return nil
+					}}
+				_, err := New(init.Clone(), WithRanks(ranks), WithWidth(k), WithFleet(fc)).RunContext(ctx)
+				cancel()
+				wg.Wait()
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -18,9 +18,13 @@ package net
 //     gracefully (the ghost coordinator computes the lost block
 //     itself; mapreduce reassigns or inlines the tasks).
 //   - idempotent rejoin: the coordinator only reports Joined/Dead/Lost
-//     transitions and delivers frames; the application layer answers a
-//     rejoin by re-sending the rank's committed round or task, which
-//     the deterministic substrates make safe to recompute.
+//     transitions and delivers frames, each tagged with the rank's
+//     incarnation (one per registration); the application layer
+//     answers a rejoin by re-sending the rank's committed state or
+//     task, which the deterministic substrates make safe to recompute.
+//     SendTo addresses one incarnation, so state meant for a
+//     connection that has since been replaced is never delivered to
+//     its successor.
 //
 // Everything the application sees arrives on one Events channel, so
 // protocol state machines stay single-threaded.
@@ -53,10 +57,13 @@ const (
 
 // Event is one fleet occurrence, delivered on Coordinator.Events.
 type Event struct {
-	Rank   int
-	Kind   EventKind
-	Rejoin bool // PeerJoined only
-	Msg    Msg  // PeerMsg only
+	Rank int
+	Kind EventKind
+	// Incarnation numbers the rank's registrations from 1 (PeerJoined,
+	// PeerDead, PeerMsg); each registration yields one PeerJoined.
+	Incarnation int
+	Rejoin      bool // PeerJoined only
+	Msg         Msg  // PeerMsg only
 }
 
 // FleetConfig configures a Coordinator.
@@ -66,7 +73,7 @@ type FleetConfig struct {
 	// scheme where possible; tcp accepts ":0").
 	Listen  string
 	Workers int
-	// Proto names the application protocol (e.g. "ghost/1"); hellos
+	// Proto names the application protocol (e.g. "ghost/2"); hellos
 	// carrying a different name are rejected.
 	Proto string
 	// Lease is the heartbeat lease (default 2s): a worker silent this
@@ -198,13 +205,21 @@ func (c *Coordinator) Stats() FleetStats {
 // Send delivers an application frame to a rank, or ErrNotConnected.
 // A send error means the connection is going down; the caller will see
 // a PeerDead event and can re-send after the rejoin.
-func (c *Coordinator) Send(rank int, m Msg) error {
+func (c *Coordinator) Send(rank int, m Msg) error { return c.SendTo(rank, 0, m) }
+
+// SendTo is Send restricted to one incarnation of the rank (0 means
+// whichever is live): if the rank has since re-registered, the frame
+// is not sent and ErrNotConnected is returned.
+func (c *Coordinator) SendTo(rank, incarnation int, m Msg) error {
 	c.mu.Lock()
 	p := c.peers[rank]
 	conn := p.conn
+	if incarnation != 0 && p.incarnation != incarnation {
+		conn = nil
+	}
 	c.mu.Unlock()
 	if conn == nil {
-		return fmt.Errorf("%w: rank %d", ErrNotConnected, rank)
+		return fmt.Errorf("%w: rank %d incarnation %d", ErrNotConnected, rank, incarnation)
 	}
 	if err := conn.Send(m); err != nil {
 		return err
@@ -347,7 +362,7 @@ func (c *Coordinator) register(conn Conn) {
 			obs.Arg{Key: "rank", Value: int64(rank)},
 			obs.Arg{Key: "pid", Value: pid})
 	}
-	c.emit(Event{Rank: rank, Kind: PeerJoined, Rejoin: rejoin})
+	c.emit(Event{Rank: rank, Kind: PeerJoined, Incarnation: inc, Rejoin: rejoin})
 	c.reader(p, conn, inc)
 }
 
@@ -376,7 +391,7 @@ func (c *Coordinator) reader(p *peer, conn Conn, inc int) {
 			c.mu.Unlock()
 			c.count("net.frames_recv", 1)
 			c.count("net.bytes_recv", int64(len(m.Payload)))
-			c.emit(Event{Rank: p.rank, Kind: PeerMsg, Msg: m})
+			c.emit(Event{Rank: p.rank, Kind: PeerMsg, Incarnation: inc, Msg: m})
 		}
 	}
 }
@@ -404,7 +419,7 @@ func (c *Coordinator) peerDown(p *peer, conn Conn, inc int, cause string) {
 		obs.Arg{Key: "rank", Value: int64(p.rank)},
 		obs.Arg{Key: "incarnation", Value: int64(inc)})
 	_ = cause
-	c.emit(Event{Rank: p.rank, Kind: PeerDead})
+	c.emit(Event{Rank: p.rank, Kind: PeerDead, Incarnation: inc})
 }
 
 // leaseLoop expires silent workers and heartbeats the live ones (so

@@ -65,9 +65,11 @@ var (
 	ErrCorrupt = errors.New("net: corrupt frame")
 )
 
-// writeFrame assembles and writes one frame as a single Write call.
-func writeFrame(w io.Writer, typ uint8, payload []byte) error {
-	buf := make([]byte, 0, headerLen+len(payload)+4)
+// writeFrame assembles one frame in *scratch (reused across calls, so
+// a steady stream of frames allocates nothing) and writes it as a
+// single Write call.
+func writeFrame(w io.Writer, scratch *[]byte, typ uint8, payload []byte) error {
+	buf := (*scratch)[:0]
 	buf = append(buf, frameMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, frameVersion)
 	buf = append(buf, typ)
@@ -75,14 +77,24 @@ func writeFrame(w io.Writer, typ uint8, payload []byte) error {
 	buf = append(buf, payload...)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	_, err := w.Write(buf)
+	if cap(buf) <= maxRetainedFrame {
+		*scratch = buf
+	} else {
+		*scratch = nil // one outsized frame must not pin its buffer
+	}
 	return err
 }
 
-// readFrame reads one frame. A close marker returns ErrPeerClosed; any
-// short read returns ErrTruncated; malformed bytes return ErrCorrupt.
-func readFrame(r io.Reader) (uint8, []byte, error) {
-	head := make([]byte, headerLen)
-	if _, err := io.ReadFull(r, head); err != nil {
+// maxRetainedFrame caps the write buffer a connection keeps between
+// frames.
+const maxRetainedFrame = 1 << 20
+
+// readFrame reads one frame, using head for the fixed-size header. A
+// close marker returns ErrPeerClosed; any short read returns
+// ErrTruncated; malformed bytes return ErrCorrupt. The payload is
+// freshly allocated: it belongs to the caller.
+func readFrame(r io.Reader, head *[headerLen]byte) (uint8, []byte, error) {
+	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return 0, nil, truncated(err)
 	}
 	if string(head[:4]) != frameMagic {
@@ -100,7 +112,7 @@ func readFrame(r io.Reader) (uint8, []byte, error) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return 0, nil, truncated(err)
 	}
-	sum := crc32.ChecksumIEEE(head)
+	sum := crc32.ChecksumIEEE(head[:])
 	sum = crc32.Update(sum, crc32.IEEETable, body[:n])
 	if got := binary.LittleEndian.Uint32(body[n:]); got != sum {
 		return 0, nil, fmt.Errorf("%w: CRC %08x, want %08x", ErrCorrupt, got, sum)

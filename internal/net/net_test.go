@@ -16,15 +16,19 @@ import (
 // --- frame codec ---
 
 func TestFrameRoundTrip(t *testing.T) {
+	// One scratch buffer and one header serve every frame, as they do
+	// on a connection: reuse must not leak bytes between frames.
 	var buf bytes.Buffer
-	payloads := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xAB}, 4096)}
+	var scratch []byte
+	var head [headerLen]byte
+	payloads := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xAB}, 4096), []byte("yz")}
 	for i, p := range payloads {
-		if err := writeFrame(&buf, FrameApp+uint8(i), p); err != nil {
+		if err := writeFrame(&buf, &scratch, FrameApp+uint8(i), p); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
 	for i, p := range payloads {
-		typ, got, err := readFrame(&buf)
+		typ, got, err := readFrame(&buf, &head)
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
@@ -39,10 +43,10 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameCloseMarker(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, frameClose, nil); err != nil {
+	if err := writeFrame(&buf, new([]byte), frameClose, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := readFrame(&buf)
+	_, _, err := readFrame(&buf, new([headerLen]byte))
 	if !errors.Is(err, ErrPeerClosed) {
 		t.Fatalf("close marker read: %v, want ErrPeerClosed", err)
 	}
@@ -50,14 +54,14 @@ func TestFrameCloseMarker(t *testing.T) {
 
 func TestFrameTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, FrameApp, []byte("important bytes")); err != nil {
+	if err := writeFrame(&buf, new([]byte), FrameApp, []byte("important bytes")); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
 	// Every proper prefix must surface as ErrTruncated, never as a
 	// parse of partial data and never as a clean close.
 	for cut := 0; cut < len(whole); cut++ {
-		_, _, err := readFrame(bytes.NewReader(whole[:cut]))
+		_, _, err := readFrame(bytes.NewReader(whole[:cut]), new([headerLen]byte))
 		if !errors.Is(err, ErrTruncated) {
 			t.Fatalf("prefix %d/%d: %v, want ErrTruncated", cut, len(whole), err)
 		}
@@ -67,7 +71,7 @@ func TestFrameTruncation(t *testing.T) {
 func TestFrameCorruption(t *testing.T) {
 	pristine := func() []byte {
 		var buf bytes.Buffer
-		writeFrame(&buf, FrameApp, []byte("checksummed"))
+		writeFrame(&buf, new([]byte), FrameApp, []byte("checksummed"))
 		return buf.Bytes()
 	}
 	cases := []struct {
@@ -83,7 +87,7 @@ func TestFrameCorruption(t *testing.T) {
 	for _, tc := range cases {
 		b := pristine()
 		tc.mut(b)
-		_, _, err := readFrame(bytes.NewReader(b))
+		_, _, err := readFrame(bytes.NewReader(b), new([headerLen]byte))
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s flip: %v, want ErrCorrupt", tc.name, err)
 		}
@@ -158,6 +162,61 @@ func TestTransportRoundTrip(t *testing.T) {
 				t.Fatalf("server saw %v after client close, want ErrPeerClosed", err)
 			}
 		})
+	}
+}
+
+// TestSockConnFrameAllocs pins the per-frame allocation budget of the
+// socket transport: Send reuses the connection's frame buffer, and
+// Recv allocates only the payload it hands to the caller.
+func TestSockConnFrameAllocs(t *testing.T) {
+	tr, _ := New("unix")
+	ln, err := tr.Listen(filepath.Join(t.TempDir(), "a.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		accepted <- c
+	}()
+	a, err := tr.Dial(ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, ok := <-accepted
+	if !ok {
+		t.Fatal("accept failed")
+	}
+	defer b.Close()
+
+	// AllocsPerRun counts every goroutine's allocations, so Send and
+	// Recv run in the same function, one frame at a time: the frame
+	// fits the socket buffer and nothing else is running.
+	m := Msg{Type: FrameApp, Payload: bytes.Repeat([]byte{7}, 3072)}
+	var failed error
+	roundTrip := func() {
+		if err := a.Send(m); err != nil {
+			failed = err
+			return
+		}
+		got, err := b.Recv(0)
+		if err != nil || len(got.Payload) != len(m.Payload) {
+			failed = fmt.Errorf("recv: %v (%d bytes)", err, len(got.Payload))
+		}
+	}
+	roundTrip() // grow the write buffer once
+	allocs := testing.AllocsPerRun(200, roundTrip)
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if allocs > 1 {
+		t.Fatalf("Send+Recv allocate %.1f times per frame, want at most 1 (the received payload)", allocs)
 	}
 }
 
@@ -350,11 +409,11 @@ func TestFleetLeaseExpiryAndRejoin(t *testing.T) {
 	if err := conn.Send(Msg{Type: frameHello, Payload: helloPayload("test/1", 0)}); err != nil {
 		t.Fatal(err)
 	}
-	if ev := waitEvent(t, co); ev.Kind != PeerJoined {
-		t.Fatalf("want join, got %+v", ev)
+	if ev := waitEvent(t, co); ev.Kind != PeerJoined || ev.Incarnation != 1 {
+		t.Fatalf("want join of incarnation 1, got %+v", ev)
 	}
-	if ev := waitEvent(t, co); ev.Kind != PeerDead {
-		t.Fatalf("want lease death, got %+v", ev)
+	if ev := waitEvent(t, co); ev.Kind != PeerDead || ev.Incarnation != 1 {
+		t.Fatalf("want lease death of incarnation 1, got %+v", ev)
 	}
 	if st := co.Stats(); st.LeaseExpired == 0 {
 		t.Fatalf("lease expiry not counted: %+v", st)
@@ -367,17 +426,21 @@ func TestFleetLeaseExpiryAndRejoin(t *testing.T) {
 	defer cancel()
 	go echoWorker(ctx, tr, co.Addr(), 0)
 	ev := waitEvent(t, co)
-	if ev.Kind != PeerJoined || !ev.Rejoin {
-		t.Fatalf("want rejoin, got %+v", ev)
+	if ev.Kind != PeerJoined || !ev.Rejoin || ev.Incarnation != 2 {
+		t.Fatalf("want rejoin of incarnation 2, got %+v", ev)
 	}
-	if err := co.Send(0, Msg{Type: FrameApp, Payload: []byte("alive?")}); err != nil {
+	// Frames addressed to the dead incarnation never reach its successor.
+	if err := co.SendTo(0, 1, Msg{Type: FrameApp, Payload: []byte("stale")}); !errors.Is(err, ErrNotConnected) {
+		t.Fatalf("SendTo a superseded incarnation: %v, want ErrNotConnected", err)
+	}
+	if err := co.SendTo(0, 2, Msg{Type: FrameApp, Payload: []byte("alive?")}); err != nil {
 		t.Fatal(err)
 	}
 	for {
 		ev := waitEvent(t, co)
 		if ev.Kind == PeerMsg {
-			if string(ev.Msg.Payload) != "alive?" {
-				t.Fatalf("echo payload %q", ev.Msg.Payload)
+			if string(ev.Msg.Payload) != "alive?" || ev.Incarnation != 2 {
+				t.Fatalf("echo payload %q from incarnation %d", ev.Msg.Payload, ev.Incarnation)
 			}
 			break
 		}

@@ -113,13 +113,16 @@ func (l *sockListener) Close() error { return l.ln.Close() }
 func (l *sockListener) Addr() string { return l.ln.Addr().String() }
 
 // sockConn frames a stream socket. The write mutex serializes the
-// heartbeat goroutine with application sends; reads buffer through
-// bufio so small frames don't pay a syscall per header.
+// heartbeat goroutine with application sends and guards the reused
+// frame buffer; reads buffer through bufio so small frames don't pay
+// a syscall per header.
 type sockConn struct {
-	c  gonet.Conn
-	br *bufio.Reader
+	c    gonet.Conn
+	br   *bufio.Reader
+	head [headerLen]byte // Recv's header buffer (one reader at a time)
 
 	wmu    sync.Mutex
+	wbuf   []byte
 	closed bool
 	once   sync.Once
 }
@@ -134,7 +137,7 @@ func (s *sockConn) Send(m Msg) error {
 	if s.closed {
 		return ErrPeerClosed
 	}
-	return writeFrame(s.c, m.Type, m.Payload)
+	return writeFrame(s.c, &s.wbuf, m.Type, m.Payload)
 }
 
 func (s *sockConn) Recv(timeout time.Duration) (Msg, error) {
@@ -145,7 +148,7 @@ func (s *sockConn) Recv(timeout time.Duration) (Msg, error) {
 	if err := s.c.SetReadDeadline(deadline); err != nil {
 		return Msg{}, err
 	}
-	typ, payload, err := readFrame(s.br)
+	typ, payload, err := readFrame(s.br, &s.head)
 	if err != nil {
 		var ne gonet.Error
 		if errors.As(err, &ne) && ne.Timeout() {
@@ -164,7 +167,7 @@ func (s *sockConn) Close() error {
 			// Best-effort close marker so the peer sees a clean shutdown
 			// rather than a truncation.
 			s.c.SetWriteDeadline(time.Now().Add(time.Second))
-			writeFrame(s.c, frameClose, nil)
+			writeFrame(s.c, &s.wbuf, frameClose, nil)
 		}
 		s.wmu.Unlock()
 		s.c.Close()
