@@ -1,7 +1,7 @@
 # Tier-1 verification plus race detection in one command: `make check`.
 GO ?= go
 
-.PHONY: build test race vet check soak smoke-telemetry smoke-external smoke-peachyd smoke-fleet soak-peachyd bench-baseline bench-compare
+.PHONY: build test race vet check no-shims soak smoke-telemetry smoke-external smoke-peachyd smoke-fleet soak-peachyd bench-baseline bench-compare
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,16 @@ vet:
 	$(GO) vet ./...
 
 check: build vet test race
+
+# Deprecated shims may not come back. Nothing outside this module can
+# import internal/ or cmd/ packages, so a change that replaces an API
+# can always migrate every caller and delete the old one in the same
+# change. Fails if any non-test Go file there carries "// Deprecated:".
+no-shims:
+	@if grep -rl --include='*.go' --exclude='*_test.go' '// Deprecated:' internal cmd; then \
+		echo "no-shims: the files above keep deprecated APIs; migrate their callers and delete them" >&2; \
+		exit 1; \
+	fi
 
 # Kill–resume soak: SIGKILL each durable workload at random points,
 # resume it from its snapshots, and assert the final state is

@@ -248,7 +248,7 @@ func RunContext(ctx context.Context, name string, g *grid.Grid, p Params) (sandp
 }
 
 // runGuarded executes the variant, converting a panic — including a
-// worker-body panic that sched.Pool.Run propagated to the caller —
+// worker-body panic that sched.Pool.RunContext propagated to the caller —
 // into an error instead of unwinding through the whole program. The
 // grid is left in an unspecified intermediate state on failure.
 func runGuarded(name string, v Variant, g *grid.Grid, p Params) (res sandpile.Result, err error) {

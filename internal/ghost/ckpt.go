@@ -4,14 +4,14 @@ package ghost
 // The coordinator already makes every committed round's checkpoint set
 // globally consistent (recover.go); this file persists that set
 // through internal/ckpt at a configurable round cadence, and restores
-// the newest valid snapshot into the global grid before the strips or
-// blocks are carved — so a killed process resumes from the last
-// committed round instead of round zero, under either decomposition.
+// the newest valid snapshot into the global grid before the blocks
+// are carved — so a killed process resumes from the last committed
+// round instead of round zero, under any process grid.
 //
 // The snapshot is decomposition-independent: it stores the committed
 // global cells plus the committed round and cumulative topples. A
-// snapshot written by a 4-rank strip run resumes under a 2x3 block
-// run, because carving happens after restore. Rounds are global (a
+// snapshot written by a 4-rank strip run (the 4x1 grid) resumes under
+// a 2x3 block run, because carving happens after restore. Rounds are global (a
 // resumed generation starts at committed+1), so MaxIters needs no
 // adjustment, and fault plans replay exactly: injected crash/message
 // decisions are keyed by (seed, rank, round), not wall clock.
@@ -30,9 +30,9 @@ import (
 // ghostPayload tags distributed-run snapshots inside the ckpt frame.
 const ghostPayload uint32 = 2
 
-// durable carries the checkpointer plus the decomposition's encoder
-// (built by run1d/run2d over their carved checkpoint sets). nil means
-// durability is off.
+// durable carries the checkpointer plus the snapshot encoder (built
+// by runInProcess over its carved checkpoint set, or by runFleet over
+// the global grid). nil means durability is off.
 type durable struct {
 	ck     *ckpt.Checkpointer
 	encode func(round int, topples uint64) []byte

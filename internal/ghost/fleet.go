@@ -1,7 +1,7 @@
 package ghost
 
 // fleet.go runs the distributed sandpile over real process boundaries:
-// the goroutine ranks of ghost.go/ghost2d.go become fleet workers
+// the goroutine ranks of ghost.go become fleet workers
 // connected through internal/net, so a SIGKILL is a real lost peer
 // detected by a heartbeat lease rather than a simulated crash.
 //
@@ -330,8 +330,9 @@ func newBlock(ge geom, local *grid.Grid, round int) *block {
 }
 
 // step runs round b.round+1: K synchronous steps over the local window
-// with the shrinking-valid-band rule of rank2d.run (the 1-D strip is
-// the gLeft=gRh=0 case). The owned-region change count and the
+// with the shrinking-valid-band rule (a strip is the gLeft=gRh=0
+// case). In-process ranks, fleet workers and the coordinator's lost
+// ranks all step through it. The owned-region change count and the
 // redundant ghost-band cell count land in b.last; the owned block is
 // reported whole when flagged, or when the round changed nothing and
 // the coordinator's copy is stale — so every quiet rank's block is
@@ -471,34 +472,15 @@ type fleetRun struct {
 	full, done         bool
 }
 
-// runFleet drives the decomposition over a worker fleet. The caller's
-// grid g is the global state; on return it holds the fixed point,
-// exactly as the in-process paths leave it.
-func runFleet(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
-	R, C := cfg.procRows, cfg.procCols
-	if R <= 0 || C <= 0 {
-		if cfg.ranks <= 0 {
-			return Report{}, fmt.Errorf("ghost: fleet needs WithRanks or WithProcessGrid")
-		}
-		R, C = cfg.ranks, 1
-	}
-	if cfg.width <= 0 {
-		return Report{}, fmt.Errorf("ghost: GhostWidth must be >= 1, got %d", cfg.width)
-	}
-	if cfg.maxIters <= 0 {
-		cfg.maxIters = sandpile.MaxIterations
-	}
+// runFleet drives the R×C decomposition over a worker fleet. The
+// caller's grid g is the global state; on return it holds the fixed
+// point, exactly as the in-process run leaves it. RunContext has
+// validated cfg.
+func runFleet(ctx context.Context, g *grid.Grid, cfg config, R, C int) (Report, error) {
 	if cfg.faults != nil {
 		return Report{}, fmt.Errorf("ghost: fleet mode injects no simulated faults; kill the worker processes instead")
 	}
-	K := cfg.width
-	if (R > 1 && g.H()/R < K) || (C > 1 && g.W()/C < K) {
-		return Report{}, fmt.Errorf("ghost: blocks of %dx%d grid over %dx%d ranks smaller than K=%d",
-			g.H(), g.W(), R, C, K)
-	}
-	n := R * C
-
-	before := g.Sum()
+	K, n := cfg.width, R*C
 	f := &fleetRun{cfg: cfg, g: g, rep: Report{Ranks: n, GhostWidth: K}}
 	if cfg.ck != nil {
 		var err error
@@ -520,27 +502,9 @@ func runFleet(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 	f.snap, f.snapRound, f.snapTopples = g.Clone(), f.committed, f.topples
 	f.started = f.committed
 
-	rowOf := splitExtents(g.H(), R)
-	colOf := splitExtents(g.W(), C)
-	for pr := 0; pr < R; pr++ {
-		for pc := 0; pc < C; pc++ {
-			ge := geom{K: K, ownH: rowOf[pr+1] - rowOf[pr], ownW: colOf[pc+1] - colOf[pc]}
-			if pr > 0 {
-				ge.gTop = K
-			}
-			if pr < R-1 {
-				ge.gBot = K
-			}
-			if pc > 0 {
-				ge.gLeft = K
-			}
-			if pc < C-1 {
-				ge.gRh = K
-			}
-			top, left := rowOf[pr], colOf[pc]
-			f.ranks = append(f.ranks, &fleetRank{shape: newShape(ge), id: len(f.ranks),
-				top: top, left: left, dy: top - ge.gTop, dx: left - ge.gLeft, synced: true})
-		}
+	for id, p := range carve(g.H(), g.W(), R, C, K) {
+		f.ranks = append(f.ranks, &fleetRank{shape: newShape(p.geom), id: id,
+			top: p.top, left: p.left, dy: p.top - p.gTop, dx: p.left - p.gLeft, synced: true})
 	}
 
 	fc := *cfg.fleet
@@ -565,15 +529,6 @@ func runFleet(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 	rep := f.rep
 	rep.Iterations = f.committed * K
 	rep.Topples = f.topples
-	g.ClearHalo()
-	rep.Absorbed = before - g.Sum()
-	if m := cfg.obs.Metrics; m != nil {
-		m.Counter("ghost.exchanges").Add(int64(rep.Exchanges))
-		m.Counter("ghost.halo.messages").Add(int64(rep.Messages))
-		m.Counter("ghost.halo.bytes").Add(int64(rep.BytesSent))
-		m.Counter("ghost.cells.redundant").Add(int64(rep.RedundantCells))
-		m.Counter("ghost.cells.owned").Add(int64(rep.OwnedCells))
-	}
 	return rep, nil
 }
 
@@ -784,7 +739,7 @@ func (f *fleetRun) record(r *fleetRank, rp report) {
 	f.total += rp.changes
 	f.rep.RedundantCells += rp.redundant
 	// K steps per round, each over the whole owned block — the same
-	// per-step accounting the strip decomposition reports.
+	// per-step accounting the in-process run reports.
 	f.rep.OwnedCells += uint64(r.K * r.ownH * r.ownW)
 	f.need--
 }

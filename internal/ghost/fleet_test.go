@@ -183,23 +183,31 @@ func TestFleetWorkerAnswersRepeatedRoundWithoutStepping(t *testing.T) {
 
 // TestFleetMatchesInProcessRun pins the tentpole equality: the fleet
 // run and the classic goroutine-rank run agree on every reported
-// quantity that is defined for both.
+// quantity that is defined for both, on strips and on blocks.
 func TestFleetMatchesInProcessRun(t *testing.T) {
-	gIn := fleetGrid(24, 18)
-	inRep, err := New(gIn, WithRanks(3), WithWidth(2)).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, _ := pnet.New("chan")
-	rep := runFleetCase(t, []Option{WithRanks(3), WithWidth(2)}, spawnWorkers(tr, 3))
-	if rep.Iterations != inRep.Iterations || rep.Topples != inRep.Topples ||
-		rep.Absorbed != inRep.Absorbed || rep.Exchanges != inRep.Exchanges {
-		t.Fatalf("fleet %+v != in-process %+v", rep, inRep)
-	}
-	// Same decomposition, same rounds: the redundant-compute accounting
-	// must agree too.
-	if rep.RedundantCells != inRep.RedundantCells || rep.OwnedCells != inRep.OwnedCells {
-		t.Fatalf("work accounting: fleet %+v != in-process %+v", rep, inRep)
+	for _, pg := range []struct{ r, c int }{{3, 1}, {2, 2}} {
+		t.Run(fmt.Sprintf("%dx%d", pg.r, pg.c), func(t *testing.T) {
+			opts := []Option{WithProcessGrid(pg.r, pg.c), WithWidth(2)}
+			if pg.c == 1 {
+				opts = []Option{WithRanks(pg.r), WithWidth(2)}
+			}
+			gIn := fleetGrid(24, 18)
+			inRep, err := New(gIn, opts...).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, _ := pnet.New("chan")
+			rep := runFleetCase(t, opts, spawnWorkers(tr, pg.r*pg.c))
+			if rep.Iterations != inRep.Iterations || rep.Topples != inRep.Topples ||
+				rep.Absorbed != inRep.Absorbed || rep.Exchanges != inRep.Exchanges {
+				t.Fatalf("fleet %+v != in-process %+v", rep, inRep)
+			}
+			// Same decomposition, same rounds: the redundant-compute
+			// accounting must agree too.
+			if rep.RedundantCells != inRep.RedundantCells || rep.OwnedCells != inRep.OwnedCells {
+				t.Fatalf("work accounting: fleet %+v != in-process %+v", rep, inRep)
+			}
+		})
 	}
 }
 

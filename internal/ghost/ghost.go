@@ -1,17 +1,26 @@
 // Package ghost implements the fourth sandpile assignment: a
 // distributed-memory run of the synchronous automaton using the Ghost
 // Cell Pattern (Kjolstad & Snir 2010). MPI ranks are simulated by
-// goroutines that own horizontal strips of the global grid and
-// exchange halo rows over links; no memory is shared between ranks
-// except the links.
+// goroutines that own the blocks of an R×C process grid over the
+// global grid and exchange halos over links; no memory is shared
+// between ranks except the links. WithRanks(n) is the n×1 grid: n
+// horizontal strips.
 //
 // The assignment's central trade-off — redundant computation for
 // less-frequent communication — is a first-class parameter here: with
-// ghost-zone width K, each rank holds K extra rows per interior
-// boundary, exchanges only every K iterations, and in between
-// recomputes a shrinking band of its neighbors' rows. The run report
+// ghost-zone width K, each rank holds K extra rows or columns per
+// interior boundary, exchanges only every K iterations, and in between
+// recomputes a shrinking band of its neighbors' cells. The run report
 // counts messages, bytes, and redundantly computed cells so the
 // trade-off can be measured rather than imagined.
+//
+// Blocks need corner data once K exceeds one (a cell K steps from a
+// block corner depends on the diagonal neighbor's cells), which the
+// classic two-phase exchange provides without diagonal messages:
+// first east/west halo columns are exchanged over owned rows, then
+// north/south halo rows over the full local width, so the
+// just-received east/west columns carry the diagonal neighbors'
+// corners along. On an n×1 grid the first phase is empty.
 //
 // Runs are fault-tolerant when configured with WithFaults: halo
 // links absorb injected message drop/delay/duplication (internal/
@@ -19,6 +28,8 @@
 // heartbeat detection plus coordinated checkpoint rollback
 // (recover.go). Determinism makes recovery exact: the post-recovery
 // fixed point and committed topple count equal the fault-free run's.
+// WithFleet runs the same decomposition over worker processes
+// (fleet.go).
 package ghost
 
 import (
@@ -34,27 +45,6 @@ import (
 	"repro/internal/sandpile"
 )
 
-// Params configures a distributed run.
-//
-// Deprecated: prefer New with functional options (options.go), which
-// also exposes fault injection and the 2-D decomposition through one
-// constructor. Params remains supported as a thin equivalent.
-type Params struct {
-	// Ranks is the number of simulated processes (strips). It must be
-	// at least 1 and small enough that every rank owns at least
-	// GhostWidth rows.
-	Ranks int
-	// GhostWidth K is the ghost-zone width: halo rows exchanged per
-	// boundary, and the number of iterations between exchanges.
-	GhostWidth int
-	// MaxIters aborts runaway runs; 0 means sandpile.MaxIterations.
-	MaxIters int
-	// Obs attaches the observability layer: per-rank exchange/compute
-	// spans on the "ghost" track and ghost.* counters (halo messages,
-	// bytes, redundant cells). The zero Sink disables it.
-	Obs obs.Sink
-}
-
 // Report summarizes a distributed run.
 type Report struct {
 	sandpile.Result
@@ -64,7 +54,7 @@ type Report struct {
 	Messages       int    // point-to-point messages sent (including replays)
 	BytesSent      uint64 // payload bytes across all messages
 	RedundantCells uint64 // ghost-band cells recomputed beyond owned work
-	OwnedCells     uint64 // owned cells computed
+	OwnedCells     uint64 // owned cells computed, summed over steps
 	// Recoveries counts coordinated rollbacks (heartbeat-detected rank
 	// deaths recovered by restart-from-checkpoint).
 	Recoveries int
@@ -83,37 +73,87 @@ func (r Report) String() string {
 	return s
 }
 
-// message is one halo payload: k segments of w cells coalesced into a
-// single contiguous row-major buffer — one allocation and one copy
-// per exchange instead of one per row, the batched-halo optimization.
-// The receiver knows the segment geometry from its own decomposition,
+// message is one halo payload: a K-deep band coalesced into a single
+// contiguous row-major buffer — one allocation and one copy per
+// exchange instead of one per row, the batched-halo optimization.
+// The receiver knows the band geometry from its own decomposition,
 // so the wire carries no shape. Senders must build a fresh buffer per
 // Send: the link retains the payload for retransmission.
 type message struct {
 	buf []uint32
 }
 
-// rank is the per-process state of the simulated run. Ranks are
-// rebuilt from checkpoints on every recovery generation, so all
-// fields are generation-local.
+// placement is one rank's block geometry and the global position of
+// its owned block.
+type placement struct {
+	geom
+	top, left int
+}
+
+// carve splits an h×w grid over an R×C process grid. Rank pr*C+pc owns
+// the block at process-grid position (pr, pc), with a K-wide ghost
+// band on each side that has a neighbor; larger blocks come first.
+func carve(h, w, R, C, K int) []placement {
+	rowOf := splitExtents(h, R)
+	colOf := splitExtents(w, C)
+	ps := make([]placement, 0, R*C)
+	for pr := 0; pr < R; pr++ {
+		for pc := 0; pc < C; pc++ {
+			p := placement{geom: geom{K: K, ownH: rowOf[pr+1] - rowOf[pr], ownW: colOf[pc+1] - colOf[pc]},
+				top: rowOf[pr], left: colOf[pc]}
+			if pr > 0 {
+				p.gTop = K
+			}
+			if pr < R-1 {
+				p.gBot = K
+			}
+			if pc > 0 {
+				p.gLeft = K
+			}
+			if pc < C-1 {
+				p.gRh = K
+			}
+			ps = append(ps, p)
+		}
+	}
+	return ps
+}
+
+// splitExtents returns n+1 boundaries splitting total cells into n
+// near-equal extents, larger blocks first.
+func splitExtents(total, n int) []int {
+	out := make([]int, n+1)
+	base, extra := total/n, total%n
+	pos := 0
+	for i := 0; i < n; i++ {
+		out[i] = pos
+		pos += base
+		if i < extra {
+			pos++
+		}
+	}
+	out[n] = total
+	return out
+}
+
+// rank is one simulated process. Ranks are rebuilt from checkpoints
+// on every recovery generation, so all fields are generation-local.
 type rank struct {
-	id         int
-	gen        int
-	owned      int // owned rows
-	globalTop  int // global index of first owned row
-	topGhost   int // K if an upper neighbor exists, else 0
-	botGhost   int
-	cur, next  *grid.Grid
-	sendUp     *fault.Link[message] // to rank id-1
-	sendDown   *fault.Link[message] // to rank id+1
-	recvUp     *fault.Link[message] // from rank id-1
-	recvDown   *fault.Link[message] // from rank id+1
-	reports    chan<- roundReport
-	proceed    chan bool
-	abort      chan struct{}
-	inj        *fault.Injector
-	linkWait   time.Duration // halo-receive timeout; 0 = block forever
-	durable    bool          // attach checkpoint rows even without injection
+	*block
+	id        int // linear rank index pr*C+pc
+	gen       int
+	top, left int // owned block origin in the global grid
+
+	sendW, sendE, sendN, sendS *fault.Link[message]
+	recvW, recvE, recvN, recvS *fault.Link[message]
+
+	reports  chan<- roundReport
+	proceed  chan bool
+	abort    chan struct{}
+	inj      *fault.Injector
+	linkWait time.Duration // halo-receive timeout; 0 = block forever
+	durable  bool          // attach checkpoint rows even without injection
+
 	msgs       int
 	bytes      uint64
 	redundant  uint64
@@ -122,49 +162,13 @@ type rank struct {
 	track      obs.TrackID
 }
 
-// Run stabilizes g with the distributed synchronous automaton and
-// writes the final configuration back into g. It returns the run
-// report. The result is bit-identical to the sequential solvers (the
-// Abelian/determinism property), which the tests enforce.
-//
-// Deprecated: prefer New(g, WithRanks(p.Ranks), ...).Run(); Run
-// remains as a thin wrapper over it.
-func Run(g *grid.Grid, p Params) (Report, error) {
-	return RunContext(context.Background(), g, p)
-}
-
-// RunContext is Run with cancellation.
-func RunContext(ctx context.Context, g *grid.Grid, p Params) (Report, error) {
-	return run1d(ctx, g, config{
-		ranks: p.Ranks, width: p.GhostWidth, maxIters: p.MaxIters, obs: p.Obs,
-	})
-}
-
-// run1d executes the strip decomposition under the shared recovery
-// coordinator.
-func run1d(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
-	if cfg.ranks <= 0 {
-		return Report{}, fmt.Errorf("ghost: Ranks must be >= 1, got %d", cfg.ranks)
-	}
-	if cfg.width <= 0 {
-		return Report{}, fmt.Errorf("ghost: GhostWidth must be >= 1, got %d", cfg.width)
-	}
-	if cfg.maxIters <= 0 {
-		cfg.maxIters = sandpile.MaxIterations
-	}
-	minOwned := g.H() / cfg.ranks
-	if minOwned < cfg.width {
-		return Report{}, fmt.Errorf("ghost: %d ranks over %d rows leaves %d rows/rank; need >= GhostWidth (%d)",
-			cfg.ranks, g.H(), minOwned, cfg.width)
-	}
-
-	before := g.Sum()
-	K, W := cfg.width, g.W()
-	// Durable resume happens before carving, so the strips below are
+// runInProcess executes the R×C decomposition as goroutine ranks under
+// the shared recovery coordinator. RunContext has validated cfg.
+func runInProcess(ctx context.Context, g *grid.Grid, cfg config, R, C int) (Report, error) {
+	K, n := cfg.width, R*C
+	// Durable resume happens before carving, so the blocks below are
 	// cut from the restored committed state rather than the initial
-	// one. `before` stays the caller's initial sum: re-running from the
-	// same initial grid therefore reports the same Absorbed total as an
-	// uninterrupted run.
+	// one.
 	startRound, startTopples := 0, uint64(0)
 	var dur *durable
 	if cfg.ck != nil {
@@ -184,37 +188,29 @@ func run1d(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 		linkWait = hb / 4 // must detect a dropped halo before the coordinator gives up
 	}
 
-	// Carve strips: the first (H mod Ranks) ranks get one extra row.
-	// The scattered owned rows double as the round-0 checkpoint set.
-	owned := make([]int, cfg.ranks)
-	tops := make([]int, cfg.ranks)
-	ckpts := make([][][]uint32, cfg.ranks)
-	base, extra := g.H()/cfg.ranks, g.H()%cfg.ranks
-	top := 0
-	for i := range owned {
-		owned[i] = base
-		if i < extra {
-			owned[i]++
-		}
-		tops[i] = top
-		rows := make([][]uint32, owned[i])
+	ps := carve(g.H(), g.W(), R, C, K)
+	// The scattered owned blocks double as the round-0 checkpoint set.
+	ckpts := make([][][]uint32, n)
+	for id, p := range ps {
+		rows := make([][]uint32, p.ownH)
 		for y := range rows {
-			rows[y] = append([]uint32(nil), g.Row(top+y)...)
+			rows[y] = append([]uint32(nil), g.Row(p.top + y)[p.left:p.left+p.ownW]...)
 		}
-		ckpts[i] = rows
-		top += owned[i]
+		ckpts[id] = rows
 	}
 	if dur != nil {
-		// Strips are stacked top to bottom, so concatenating the
-		// committed checkpoint rows reproduces the global grid.
-		h := g.H()
+		// Reassemble global rows from the committed blocks: each global
+		// row crosses the C blocks of one process-grid row.
+		h, w := g.H(), g.W()
 		dur.encode = func(round int, topples uint64) []byte {
 			var e ckpt.Enc
-			encodeGhostHeader(&e, round, topples, h, W)
-			for _, rows := range ckpts {
-				for _, row := range rows {
-					for _, v := range row {
-						e.U32(v)
+			encodeGhostHeader(&e, round, topples, h, w)
+			for pr := 0; pr < R; pr++ {
+				for y := 0; y < ps[pr*C].ownH; y++ {
+					for pc := 0; pc < C; pc++ {
+						for _, v := range ckpts[pr*C+pc][y] {
+							e.U32(v)
+						}
 					}
 				}
 			}
@@ -225,45 +221,50 @@ func run1d(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 	var live []*rank // the most recently launched generation
 	launch := func(genID, startRound int, ckpts [][][]uint32) *generation {
 		gen := &generation{
-			reports: make(chan roundReport, cfg.ranks),
-			proceed: make([]chan bool, cfg.ranks),
+			reports: make(chan roundReport, n),
+			proceed: make([]chan bool, n),
 			abort:   make(chan struct{}),
 			wg:      &sync.WaitGroup{},
 		}
-		rs := make([]*rank, cfg.ranks)
-		for i := range rs {
+		rs := make([]*rank, n)
+		for id, p := range ps {
+			local := grid.New(p.localH(), p.localW())
+			for y := 0; y < p.ownH; y++ {
+				copy(local.Row(p.gTop + y)[p.gLeft:p.gLeft+p.ownW], ckpts[id][y])
+			}
 			r := &rank{
-				id: i, gen: genID,
-				owned: owned[i], globalTop: tops[i],
+				block: newBlock(p.geom, local, startRound),
+				id:    id, gen: genID, top: p.top, left: p.left,
 				reports: gen.reports,
 				proceed: make(chan bool, 1),
 				abort:   gen.abort,
 				inj:     inj, linkWait: linkWait,
 				durable: dur != nil,
 			}
-			gen.proceed[i] = r.proceed
+			gen.proceed[id] = r.proceed
 			if tr := cfg.obs.Tracer; tr != nil {
 				r.tr = tr
-				r.track = tr.Track("ghost", i, fmt.Sprintf("rank %d", i))
+				r.track = tr.Track("ghost", id, fmt.Sprintf("rank (%d,%d)", id/C, id%C))
 			}
-			if i > 0 {
-				r.topGhost = K
-			}
-			if i < cfg.ranks-1 {
-				r.botGhost = K
-			}
-			r.cur = grid.New(r.owned+r.topGhost+r.botGhost, W)
-			r.next = grid.New(r.cur.H(), W)
-			for y := 0; y < r.owned; y++ {
-				copy(r.cur.Row(r.topGhost+y), ckpts[i][y])
-			}
-			rs[i] = r
+			rs[id] = r
 		}
-		for i := 0; i < cfg.ranks-1; i++ {
-			down := fault.NewLink[message](inj, i, i+1, 1)
-			up := fault.NewLink[message](inj, i+1, i, 1)
-			rs[i].sendDown, rs[i+1].recvUp = down, down
-			rs[i+1].sendUp, rs[i].recvDown = up, up
+		// Wire neighbor links (endpoints are linear rank indices, so
+		// message-fault decisions stay keyed to stable identities).
+		for id, r := range rs {
+			if id%C < C-1 {
+				east := rs[id+1]
+				toEast := fault.NewLink[message](inj, id, id+1, 1)
+				toWest := fault.NewLink[message](inj, id+1, id, 1)
+				r.sendE, east.recvW = toEast, toEast
+				east.sendW, r.recvE = toWest, toWest
+			}
+			if id+C < n {
+				south := rs[id+C]
+				toSouth := fault.NewLink[message](inj, id, id+C, 1)
+				toNorth := fault.NewLink[message](inj, id+C, id, 1)
+				r.sendS, south.recvN = toSouth, toSouth
+				south.sendN, r.recvS = toNorth, toNorth
+			}
 		}
 		gen.harvest = func(rep *Report) {
 			for _, r := range rs {
@@ -277,34 +278,26 @@ func run1d(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 			gen.wg.Add(1)
 			go func(r *rank) {
 				defer gen.wg.Done()
-				r.run(K, startRound)
+				r.run(startRound)
 			}(r)
 		}
 		live = rs
 		return gen
 	}
 
-	rep := Report{Ranks: cfg.ranks, GhostWidth: K}
-	if err := coordinate(ctx, cfg.ranks, K, cfg.maxIters, inj, hb, launch, ckpts, &rep, dur, startRound, startTopples, cfg.obs); err != nil {
+	rep := Report{Ranks: n, GhostWidth: K}
+	if err := coordinate(ctx, n, K, cfg.maxIters, inj, hb, launch, ckpts, &rep, dur, startRound, startTopples, cfg.obs); err != nil {
 		return rep, err
 	}
 
-	// Gather: copy owned rows back into the global grid.
+	// Gather: copy owned blocks back into the global grid.
 	for _, r := range live {
-		for y := 0; y < r.owned; y++ {
-			copy(g.Row(r.globalTop+y), r.cur.Row(r.topGhost+y))
+		for y := 0; y < r.ownH; y++ {
+			copy(g.Row(r.top + y)[r.left:r.left+r.ownW],
+				r.cur.Row(r.gTop + y)[r.gLeft:r.gLeft+r.ownW])
 		}
 	}
-	g.ClearHalo()
-	rep.Absorbed = before - g.Sum()
 	rep.FaultSchedule = inj.Schedule()
-	if m := cfg.obs.Metrics; m != nil {
-		m.Counter("ghost.exchanges").Add(int64(rep.Exchanges))
-		m.Counter("ghost.halo.messages").Add(int64(rep.Messages))
-		m.Counter("ghost.halo.bytes").Add(int64(rep.BytesSent))
-		m.Counter("ghost.cells.redundant").Add(int64(rep.RedundantCells))
-		m.Counter("ghost.cells.owned").Add(int64(rep.OwnedCells))
-	}
 	return rep, nil
 }
 
@@ -313,62 +306,42 @@ func run1d(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 // coordinator, and the coordinator's continue verdict. An injected
 // crash makes the rank go silent mid-protocol — exactly the failure
 // mode the coordinator's heartbeat timeout exists to catch.
-func (r *rank) run(K, startRound int) {
-	H := r.cur.H()
+func (r *rank) run(startRound int) {
 	for round := startRound + 1; ; round++ {
 		if r.inj.CrashAt(r.id, round) {
 			return
 		}
 		// Fill (or refresh) ghost zones before the round's K steps.
 		// The first exchange distributes the scattered initial state's
-		// boundary rows; later ones refresh post-round state.
+		// boundary cells; later ones refresh post-round state.
 		exTS := r.tr.Now()
-		if !r.exchange(K) {
+		if !r.exchange() {
 			return // aborted, or a peer died and the link drained
 		}
 		if r.tr != nil {
 			r.tr.Span(r.track, "exchange", exTS, r.tr.Now()-exTS,
-				obs.Arg{Key: "K", Value: int64(K)})
+				obs.Arg{Key: "K", Value: int64(r.K)})
 		}
 		compTS := r.tr.Now()
-		roundChanges := 0
-		for s := 1; s <= K; s++ {
-			// Valid band shrinks by one row per step on each side that
-			// has a ghost zone; sink-adjacent sides stay put.
-			y0, y1 := 0, H
-			if r.topGhost > 0 {
-				y0 = s
-			}
-			if r.botGhost > 0 {
-				y1 = H - s
-			}
-			for y := y0; y < y1; y++ {
-				ch := sandpile.SyncRow(r.cur, r.next, y, 0, r.cur.W())
-				if y >= r.topGhost && y < r.topGhost+r.owned {
-					roundChanges += ch
-					r.ownedCells += uint64(r.cur.W())
-				} else {
-					r.redundant += uint64(r.cur.W())
-				}
-			}
-			r.cur, r.next = r.next, r.cur
-		}
+		r.step(false)
+		r.redundant += r.last.redundant
+		r.ownedCells += uint64(r.K * r.ownH * r.ownW)
 		if r.tr != nil {
 			r.tr.Span(r.track, "compute", compTS, r.tr.Now()-compTS,
-				obs.Arg{Key: "changes", Value: int64(roundChanges)})
+				obs.Arg{Key: "changes", Value: int64(r.last.changes)})
 		}
 		// With fault injection or durability on, the report carries a
-		// checkpoint of the owned rows; the coordinator installs it
+		// checkpoint of the owned cells; the coordinator installs it
 		// once the whole round commits.
 		var rows [][]uint32
 		if r.inj != nil || r.durable {
-			rows = make([][]uint32, r.owned)
+			rows = make([][]uint32, r.ownH)
 			for y := range rows {
-				rows[y] = append([]uint32(nil), r.cur.Row(r.topGhost+y)...)
+				rows[y] = append([]uint32(nil), r.cur.Row(r.gTop + y)[r.gLeft:r.gLeft+r.ownW]...)
 			}
 		}
 		select {
-		case r.reports <- roundReport{gen: r.gen, id: r.id, round: round, changes: roundChanges, rows: rows}:
+		case r.reports <- roundReport{gen: r.gen, id: r.id, round: round, changes: r.last.changes, rows: rows}:
 		case <-r.abort:
 			return
 		}
@@ -383,36 +356,81 @@ func (r *rank) run(K, startRound int) {
 	}
 }
 
-// exchange sends this rank's boundary-owned rows to each neighbor and
-// refills its ghost zones with what the neighbors send back. It
-// returns false when the generation aborted or a receive found the
-// peer dead (timeout with nothing to retransmit).
-func (r *rank) exchange(K int) bool {
+// exchange performs the two-phase halo exchange: E/W columns over
+// owned rows first, then N/S rows over the full local width (carrying
+// the corners). It returns false when the generation aborted or a
+// receive found the peer dead (timeout with nothing to retransmit).
+func (r *rank) exchange() bool {
+	K := r.K
+	// Phase 1: east/west columns, owned rows only, coalesced into one
+	// flat ownH×K message per neighbor.
+	colPayload := func(x0 int) message {
+		buf := make([]uint32, 0, r.ownH*K)
+		for y := 0; y < r.ownH; y++ {
+			buf = append(buf, r.cur.Row(r.gTop + y)[x0:x0+K]...)
+		}
+		return message{buf: buf}
+	}
+	if r.sendW != nil {
+		if !r.sendW.Send(colPayload(r.gLeft), r.abort) {
+			return false
+		}
+		r.msgs++
+		r.bytes += uint64(K * r.ownH * 4)
+	}
+	if r.sendE != nil {
+		if !r.sendE.Send(colPayload(r.gLeft+r.ownW-K), r.abort) {
+			return false
+		}
+		r.msgs++
+		r.bytes += uint64(K * r.ownH * 4)
+	}
+	if r.recvW != nil {
+		m, ok := r.recvW.Recv(r.linkWait, r.abort)
+		if !ok {
+			return false
+		}
+		for y := 0; y < r.ownH; y++ {
+			copy(r.cur.Row(r.gTop + y)[0:K], m.buf[y*K:(y+1)*K])
+		}
+	}
+	if r.recvE != nil {
+		m, ok := r.recvE.Recv(r.linkWait, r.abort)
+		if !ok {
+			return false
+		}
+		for y := 0; y < r.ownH; y++ {
+			copy(r.cur.Row(r.gTop + y)[r.gLeft+r.ownW:], m.buf[y*K:(y+1)*K])
+		}
+	}
+
+	// Phase 2: north/south rows over the full local width, including
+	// the halo columns just received — this is what fills corners.
+	// One flat K×W message per neighbor.
 	W := r.cur.W()
-	// K boundary rows coalesce into one flat K×W message per neighbor.
-	pack := func(y0 int) message {
+	rowPayload := func(y0 int) message {
 		buf := make([]uint32, 0, K*W)
 		for k := 0; k < K; k++ {
 			buf = append(buf, r.cur.Row(y0+k)...)
 		}
 		return message{buf: buf}
 	}
-	if r.sendUp != nil {
-		if !r.sendUp.Send(pack(r.topGhost), r.abort) {
+	if r.sendN != nil {
+		if !r.sendN.Send(rowPayload(r.gTop), r.abort) {
 			return false
 		}
 		r.msgs++
 		r.bytes += uint64(K * W * 4)
 	}
-	if r.sendDown != nil {
-		if !r.sendDown.Send(pack(r.topGhost+r.owned-K), r.abort) {
+	if r.sendS != nil {
+		if !r.sendS.Send(rowPayload(r.gTop+r.ownH-K), r.abort) {
 			return false
 		}
 		r.msgs++
 		r.bytes += uint64(K * W * 4)
 	}
-	if r.recvUp != nil {
-		m, ok := r.recvUp.Recv(r.linkWait, r.abort)
+	if r.recvN != nil {
+		m, ok := r.recvN.Recv(r.linkWait, r.abort)
 		if !ok {
 			return false
 		}
@@ -420,13 +438,13 @@ func (r *rank) exchange(K int) bool {
 			copy(r.cur.Row(k), m.buf[k*W:(k+1)*W])
 		}
 	}
-	if r.recvDown != nil {
-		m, ok := r.recvDown.Recv(r.linkWait, r.abort)
+	if r.recvS != nil {
+		m, ok := r.recvS.Recv(r.linkWait, r.abort)
 		if !ok {
 			return false
 		}
 		for k := 0; k < K; k++ {
-			copy(r.cur.Row(r.topGhost+r.owned+k), m.buf[k*W:(k+1)*W])
+			copy(r.cur.Row(r.gTop+r.ownH+k), m.buf[k*W:(k+1)*W])
 		}
 	}
 	return true

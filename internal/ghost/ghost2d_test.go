@@ -64,21 +64,6 @@ func TestRun2DCornersMatter(t *testing.T) {
 	}
 }
 
-func TestRun2DMatches1DOnStrips(t *testing.T) {
-	init := sandpile.Center(20000).Build(64, 64, nil)
-	a := init.Clone()
-	b := init.Clone()
-	if _, err := Run(a, Params{Ranks: 4, GhostWidth: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(b, WithProcessGrid(4, 1), WithWidth(2)).Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Equal(b) {
-		t.Fatal("2D decomposition on strips disagrees with the 1D runtime")
-	}
-}
-
 func TestRun2DValidation(t *testing.T) {
 	g := grid.New(16, 16)
 	if _, err := New(g, WithProcessGrid(0, 1), WithWidth(1)).Run(); err == nil {
@@ -89,6 +74,16 @@ func TestRun2DValidation(t *testing.T) {
 	}
 	if _, err := New(g, WithProcessGrid(4, 4), WithWidth(8)).Run(); err == nil {
 		t.Fatal("K larger than block accepted")
+	}
+	// Without row neighbors no band crosses a row boundary, so a
+	// single row of ranks runs on a grid shorter than K.
+	flat := sandpile.Random(12).Build(3, 24, rand.New(rand.NewSource(5)))
+	want := oracle(flat)
+	if _, err := New(flat, WithProcessGrid(1, 2), WithWidth(4)).Run(); err != nil {
+		t.Fatalf("1x2 grid over 3 rows with K=4: %v", err)
+	}
+	if !flat.Equal(want) {
+		t.Fatalf("1x2 grid over 3 rows: wrong fixed point: %v", flat.Diff(want, 5))
 	}
 }
 

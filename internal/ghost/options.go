@@ -1,13 +1,13 @@
 package ghost
 
-// options.go is the redesigned constructor for distributed runs: a
-// functional-options Runner that unifies the strip and block
-// decompositions, threads context.Context through, and carries the
-// fault-injection plan. The positional Params/Params2D structs and
-// the package-level Run/Run2D remain as thin deprecated shims.
+// options.go is the constructor for distributed runs: a
+// functional-options Runner over one R×C block decomposition (strips
+// are the n×1 grid) that threads context.Context through and carries
+// the fault-injection plan, the checkpointer and the fleet.
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"repro/internal/ckpt"
@@ -15,12 +15,13 @@ import (
 	"repro/internal/grid"
 	pnet "repro/internal/net"
 	"repro/internal/obs"
+	"repro/internal/sandpile"
 )
 
-// config is the merged configuration both decompositions run from.
+// config is the configuration a run is built from.
 type config struct {
-	ranks              int // strip decomposition (1-D)
-	procRows, procCols int // block decomposition (2-D); set via WithProcessGrid
+	ranks              int // n×1 process grid; set via WithRanks
+	procRows, procCols int // R×C process grid; set via WithProcessGrid
 	width              int
 	maxIters           int
 	obs                obs.Sink
@@ -33,7 +34,8 @@ type config struct {
 // Option configures a Runner built with New.
 type Option func(*config)
 
-// WithRanks selects the strip decomposition with n simulated ranks.
+// WithRanks selects the strip decomposition with n simulated ranks:
+// the n×1 process grid.
 func WithRanks(n int) Option { return func(c *config) { c.ranks = n } }
 
 // WithProcessGrid selects the 2-D block decomposition with a
@@ -88,9 +90,6 @@ type Runner struct {
 // New builds a distributed run of g, e.g.
 //
 //	ghost.New(g, ghost.WithRanks(4), ghost.WithWidth(2), ghost.WithFaults(plan))
-//
-// This is the preferred constructor; Run(g, Params) and
-// Run2D(g, Params2D) are the legacy positional forms.
 func New(g *grid.Grid, opts ...Option) *Runner {
 	r := &Runner{g: g, cfg: config{width: 1}}
 	for _, opt := range opts {
@@ -105,11 +104,47 @@ func (r *Runner) Run() (Report, error) { return r.RunContext(context.Background(
 // RunContext is Run with cancellation: the coordinator stops
 // launching rounds once ctx is cancelled and returns ctx.Err().
 func (r *Runner) RunContext(ctx context.Context) (Report, error) {
-	if r.cfg.fleet != nil {
-		return runFleet(ctx, r.g, r.cfg)
+	g, cfg := r.g, r.cfg
+	R, C := cfg.procRows, cfg.procCols
+	if R == 0 && C == 0 {
+		R, C = cfg.ranks, 1
 	}
-	if r.cfg.procRows > 0 || r.cfg.procCols > 0 {
-		return run2d(ctx, r.g, r.cfg)
+	if R <= 0 || C <= 0 {
+		return Report{}, fmt.Errorf("ghost: invalid process grid %dx%d (set WithRanks or WithProcessGrid)", R, C)
 	}
-	return run1d(ctx, r.g, r.cfg)
+	if cfg.width <= 0 {
+		return Report{}, fmt.Errorf("ghost: GhostWidth must be >= 1, got %d", cfg.width)
+	}
+	if cfg.maxIters <= 0 {
+		cfg.maxIters = sandpile.MaxIterations
+	}
+	// Every block must hold a K-deep band for each neighbor it has, so
+	// a single row (column) of ranks puts no bound on the height (width).
+	K := cfg.width
+	if (R > 1 && g.H()/R < K) || (C > 1 && g.W()/C < K) {
+		return Report{}, fmt.Errorf("ghost: blocks of %dx%d grid over %dx%d ranks smaller than K=%d",
+			g.H(), g.W(), R, C, K)
+	}
+
+	// Taken before any checkpoint restore, so a resumed run reports the
+	// same Absorbed total as an uninterrupted one.
+	before := g.Sum()
+	run := runInProcess
+	if cfg.fleet != nil {
+		run = runFleet
+	}
+	rep, err := run(ctx, g, cfg, R, C)
+	if err != nil {
+		return rep, err
+	}
+	g.ClearHalo()
+	rep.Absorbed = before - g.Sum()
+	if m := cfg.obs.Metrics; m != nil {
+		m.Counter("ghost.exchanges").Add(int64(rep.Exchanges))
+		m.Counter("ghost.halo.messages").Add(int64(rep.Messages))
+		m.Counter("ghost.halo.bytes").Add(int64(rep.BytesSent))
+		m.Counter("ghost.cells.redundant").Add(int64(rep.RedundantCells))
+		m.Counter("ghost.cells.owned").Add(int64(rep.OwnedCells))
+	}
+	return rep, nil
 }

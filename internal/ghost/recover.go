@@ -1,19 +1,19 @@
 package ghost
 
-// recover.go is the fault-tolerance core shared by the strip and
-// block decompositions: a coordinator that drives *generations* of
-// rank goroutines under coordinated checkpoint/rollback. Every round,
-// each live rank reports its owned-region change count (plus, when
-// fault injection is on, an in-memory checkpoint of its owned cells);
-// a round commits only when every rank reported, which makes the
-// stored checkpoint set globally consistent. Peer death is detected
-// by heartbeat: if a round's reports stop arriving within the
-// heartbeat timeout, the coordinator declares the generation dead,
-// aborts the surviving ranks, and relaunches all ranks from the last
-// committed checkpoint set — the classic coordinated-rollback
-// recovery, which the automaton's determinism (the Abelian property)
-// turns into exact replay: the recovered run reaches the same fixed
-// point, with the same committed topple count, as the fault-free run.
+// recover.go is the fault-tolerance core of the in-process run: a
+// coordinator that drives *generations* of rank goroutines under
+// coordinated checkpoint/rollback. Every round, each live rank reports
+// its owned-region change count (plus, when fault injection is on, an
+// in-memory checkpoint of its owned cells); a round commits only when
+// every rank reported, which makes the stored checkpoint set globally
+// consistent. Peer death is detected by heartbeat: if a round's
+// reports stop arriving within the heartbeat timeout, the coordinator
+// declares the generation dead, aborts the surviving ranks, and
+// relaunches all ranks from the last committed checkpoint set — the
+// classic coordinated-rollback recovery, which the automaton's
+// determinism (the Abelian property) turns into exact replay: the
+// recovered run reaches the same fixed point, with the same committed
+// topple count, as the fault-free run.
 
 import (
 	"context"
