@@ -163,7 +163,8 @@ func benchShuffle1M(b *testing.B, naive bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := job.reducePhase(context.Background(), mapOut, cfg, nil, nil); err != nil {
+		r := &jobRun[string, string, int, KV[string, int]]{j: job, cfg: cfg, mapOut: mapOut}
+		if _, err := r.reducePhase(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"os/exec"
-	"slices"
 	"strings"
 )
 
@@ -87,62 +86,25 @@ func ExecReducer(argv ...string) StreamReducer {
 // reducer are external commands, invoked once per map split / reduce
 // group batch rather than per record: the mapper command receives the
 // whole split on stdin (exactly how Hadoop Streaming launches one
-// process per task), so per-process overhead is amortized.
+// process per task), so per-process overhead is amortized. Map tasks
+// run under cfg.Parallelism like any other job's.
 func RunStreamingPipeline(inputs []string, mapperArgv, reducerArgv []string, cfg Config[string]) ([]string, Stats, error) {
-	cfg = cfg.withDefaults()
-	splits := splitInputs(inputs, cfg.MapTasks)
-	var stats Stats
-	stats.MapTasks = len(splits)
-	stats.ReduceTasks = cfg.ReduceTasks
-
-	// Map phase: one subprocess per split.
-	mapOut := make([][]run[string, string], len(splits))
-	for t, split := range splits {
-		lines, err := runCommand(mapperArgv, split)
-		if err != nil {
-			return nil, stats, fmt.Errorf("mapreduce: map task %d: %w", t, err)
-		}
-		stats.MapInputs += len(split)
-		stats.MapOutputs += len(lines)
-		flat := make([][]prefKV[string, string], cfg.ReduceTasks)
-		for i, l := range lines {
-			k, v := ParseKV(l)
-			p := cfg.Partitioner(k, cfg.ReduceTasks)
-			if p < 0 || p >= cfg.ReduceTasks {
-				return nil, stats, fmt.Errorf("mapreduce: partitioner returned %d", p)
-			}
-			flat[p] = append(flat[p], prefKV[string, string]{pref: keyPrefix(k), seq: int32(i), kv: KV[string, string]{k, v}})
-		}
-		// The shuffle merges sorted runs; subprocess output arrives in
-		// print order, so sort and span-compress it here, exactly as
-		// runMapTask does for Go mappers.
-		parts := make([]run[string, string], cfg.ReduceTasks)
-		cmpPairs := pairCmp[string, string]()
-		for p, fp := range flat {
-			slices.SortFunc(fp, cmpPairs)
-			r, err := buildRun(fp, nil)
-			if err != nil {
-				return nil, stats, err
-			}
-			parts[p] = r
-		}
-		mapOut[t] = parts
-	}
-
-	// Shuffle + reduce via the engine's shared phase, with the
-	// external reducer adapted per group.
 	job := &Job[string, string, string, string]{
-		Reduce: func(key string, values []string, emit func(string)) error {
-			return ExecReducer(reducerArgv...)(key, values, emit)
-		},
-		Counters: NewCounters(),
+		Map:    Mapper[string, string, string](ExecMapper(mapperArgv...)), // per-record equivalent of the batched body below
+		Reduce: Reducer[string, string, string](ExecReducer(reducerArgv...)),
+		Config: cfg,
 	}
-	out, redStats, err := job.reducePhase(context.Background(), mapOut, cfg, nil, nil)
-	if err != nil {
-		return nil, stats, err
+	batched := func(ctx context.Context, r *jobRun[string, string, string, string], t int) ([]run[string, string], int, int, error) {
+		return job.mapAttempts(ctx, t, r.cfg, r.inj, func(emit func(string, string)) error {
+			lines, err := runCommand(mapperArgv, r.splits[t])
+			if err != nil {
+				return err
+			}
+			for _, l := range lines {
+				emit(ParseKV(l))
+			}
+			return nil
+		})
 	}
-	stats.CombineOutputs = redStats.CombineOutputs
-	stats.ReduceGroups = redStats.ReduceGroups
-	stats.Outputs = len(out)
-	return out, stats, nil
+	return job.runJob(context.Background(), inputs, batched, nil)
 }

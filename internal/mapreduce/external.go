@@ -66,13 +66,7 @@ type External[K cmp.Ordered, V any] struct {
 }
 
 func (x *External[K, V]) prepare() error {
-	if x.AppendKey == nil || x.ReadKey == nil || x.AppendVal == nil || x.ReadVal == nil {
-		return fmt.Errorf("mapreduce: External needs all four key/value codec functions")
-	}
-	if err := os.MkdirAll(x.Dir, 0o755); err != nil {
-		return fmt.Errorf("mapreduce: external dir: %w", err)
-	}
-	return nil
+	return prepareDir("External", x.Dir, x.AppendKey != nil && x.ReadKey != nil && x.AppendVal != nil && x.ReadVal != nil)
 }
 
 // NewStringIntExternal returns the ready-made external-shuffle config
@@ -539,23 +533,16 @@ func extMerge[K cmp.Ordered, V any](sources []*extSource[K, V], group func(key K
 // more than fanIn sources remain, the first fanIn are merged into a
 // new on-disk run that replaces them (a contiguous task-prefix, so
 // ordering is preserved), and the final pass streams groups into
-// group. It returns pairs and groups delivered, the initial run count,
+// group. It reports pairs and groups delivered, the initial run count,
 // and the total number of merge passes (intermediate + final).
-func (x *extShuffle[K, V]) mergePartition(p int, mapOut [][]run[K, V], group func(key K, values []V, gi int) error) (pairs, groups, nRuns, passes int, err error) {
+func (x *extShuffle[K, V]) mergePartition(p int, mapOut [][]run[K, V], group func(key K, values []V, gi int) error) (ps partStats, err error) {
 	var sources []*extSource[K, V]
-	closeAll := func() {
+	// Close and delete whatever scratch files this partition still
+	// holds, whether the merge finished or failed.
+	defer func() {
 		for _, s := range sources {
 			if s.rd != nil {
 				s.rd.close()
-			}
-		}
-	}
-	// On any error, close and delete whatever scratch files this
-	// partition still holds open (success nils the slice first).
-	defer func() {
-		closeAll()
-		for _, s := range sources {
-			if s.rd != nil {
 				os.Remove(s.path)
 			}
 		}
@@ -565,16 +552,16 @@ func (x *extShuffle[K, V]) mergePartition(p int, mapOut [][]run[K, V], group fun
 		if path := x.files[t][p]; path != "" {
 			rd, err := openRun(x.cfg, path)
 			if err != nil {
-				return 0, 0, 0, 0, err
+				return ps, err
 			}
 			sources = append(sources, &extSource[K, V]{rd: rd, path: path})
 		} else if p < len(mapOut[t]) && len(mapOut[t][p].keys) > 0 {
 			sources = append(sources, &extSource[K, V]{mem: &mapOut[t][p]})
 		}
 	}
-	nRuns = len(sources)
-	if nRuns == 0 {
-		return 0, 0, 0, 0, nil
+	ps.runs = len(sources)
+	if ps.runs == 0 {
+		return ps, nil
 	}
 
 	seq := 0
@@ -584,7 +571,7 @@ func (x *extShuffle[K, V]) mergePartition(p int, mapOut [][]run[K, V], group fun
 		seq++
 		w, err := newRunWriter(x.cfg, path)
 		if err != nil {
-			return 0, 0, nRuns, passes, err
+			return ps, err
 		}
 		_, _, err = extMerge(batch, func(key K, values []V, _ int) error {
 			return w.writeSpan(key, values)
@@ -592,11 +579,11 @@ func (x *extShuffle[K, V]) mergePartition(p int, mapOut [][]run[K, V], group fun
 		if err != nil {
 			w.f.Close()
 			os.Remove(path)
-			return 0, 0, nRuns, passes, err
+			return ps, err
 		}
 		if err := w.close(); err != nil {
 			os.Remove(path)
-			return 0, 0, nRuns, passes, err
+			return ps, err
 		}
 		x.spilledBytes.Add(w.bytes)
 		for _, s := range batch {
@@ -607,27 +594,17 @@ func (x *extShuffle[K, V]) mergePartition(p int, mapOut [][]run[K, V], group fun
 		}
 		rd, err := openRun(x.cfg, path)
 		if err != nil {
-			return 0, 0, nRuns, passes, err
+			return ps, err
 		}
 		merged := &extSource[K, V]{rd: rd, path: path}
 		rest := sources[x.fanIn:]
 		sources = append(make([]*extSource[K, V], 0, len(rest)+1), merged)
 		sources = append(sources, rest...)
-		passes++
+		ps.passes++
 		x.extraPasses.Add(1)
 	}
 
-	pairs, groups, err = extMerge(sources, group)
-	passes++
-	if err != nil {
-		return pairs, groups, nRuns, passes, err
-	}
-	closeAll()
-	for _, s := range sources {
-		if s.rd != nil {
-			os.Remove(s.path)
-		}
-	}
-	sources = nil
-	return pairs, groups, nRuns, passes, nil
+	ps.pairs, ps.groups, err = extMerge(sources, group)
+	ps.passes++
+	return ps, err
 }

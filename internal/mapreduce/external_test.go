@@ -349,7 +349,7 @@ func TestExternalMergeSurfacesCorruptRun(t *testing.T) {
 	if err := os.WriteFile(x.files[1][0], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, _, err = x.mergePartition(0, mapOut, func(string, []int, int) error { return nil })
+	_, err = x.mergePartition(0, mapOut, func(string, []int, int) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
 		t.Fatalf("merge over corrupt run: err = %v, want CRC mismatch", err)
 	}

@@ -8,9 +8,12 @@ package mapreduce
 // so a worker SIGKILLed mid-task is handled by re-dispatching the task
 // after the rejoin, and a rank that never comes back has its tasks
 // reassigned to the survivors. If every worker is lost the coordinator
-// inlines the remaining tasks itself: degraded, never wrong. Output
-// is byte-identical to Job.Run — the fleet changes where tasks
-// execute, not what they compute.
+// inlines the remaining tasks itself: degraded, never wrong. The fleet
+// is only a placement for the one job driver (driver.go): workers run
+// the same map-task and reducePartition code as Job.Run, and runs cross
+// the wire in the appendRun encoding Spill files use. Output is
+// byte-identical to Job.Run — the fleet changes where tasks execute,
+// not what they compute.
 
 import (
 	"cmp"
@@ -18,13 +21,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	pnet "repro/internal/net"
 	"repro/internal/obs"
 )
 
 // MRProto names the fleet wire protocol version.
-const MRProto = "mapreduce/1"
+const MRProto = "mapreduce/2"
 
 // Fleet application frame types.
 const (
@@ -32,13 +36,14 @@ const (
 	// partition count, and the split's input records.
 	mrMap uint8 = pnet.FrameApp + iota
 	// mrMapDone (worker -> coordinator): the task's per-partition
-	// sorted runs plus the raw emission count.
+	// sorted runs plus the raw emission and attempt counts.
 	mrMapDone
 	// mrReduce (coordinator -> worker): one reduce partition — its id
 	// and every map task's non-empty run for it, in task order.
 	mrReduce
 	// mrReduceDone (worker -> coordinator): the partition's outputs
-	// plus pair/group counts.
+	// plus what reducing it reported (pairs, groups, retries, runs,
+	// merge passes).
 	mrReduceDone
 	// mrStop (coordinator -> worker): the job is over; exit cleanly.
 	mrStop
@@ -57,6 +62,10 @@ type Wire[I any, K cmp.Ordered, V, O any] struct {
 	ReadVal   func([]byte) (V, []byte, error)
 	AppendOut func([]byte, O) []byte
 	ReadOut   func([]byte) (O, []byte, error)
+}
+
+func (w *Wire[I, K, V, O]) readRun(buf []byte) (run[K, V], []byte, error) {
+	return readRun(buf, w.ReadKey, w.ReadVal)
 }
 
 func (w *Wire[I, K, V, O]) check() error {
@@ -91,70 +100,99 @@ func StringIntWire() *Wire[string, string, int, KV[string, int]] {
 	}
 }
 
-// appendRun serializes one sorted run. Prefixes are not shipped — the
-// receiver recomputes them from the keys, keeping the wire format
-// independent of the accelerator encoding.
-func appendRun[I any, K cmp.Ordered, V, O any](buf []byte, r *run[K, V], w *Wire[I, K, V, O]) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.keys)))
-	for _, k := range r.keys {
-		buf = w.AppendKey(buf, k)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.offs)))
-	for _, off := range r.offs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(off))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.vals)))
-	for _, v := range r.vals {
-		buf = w.AppendVal(buf, v)
+// maxFleetReduce bounds the reduce fan-out a fleet job may ship: a
+// worker sizes its partition table by the count in an mrMap frame, so
+// the count must be checked before it is trusted.
+const maxFleetReduce = 1 << 16
+
+// appendMapTask encodes an mrMap payload: u32 task | u32 nReduce |
+// u32 nrec | records.
+func appendMapTask[I any, K cmp.Ordered, V, O any](t, nReduce int, split []I, w *Wire[I, K, V, O]) []byte {
+	buf := appendU32s(nil, t, nReduce, len(split))
+	for _, rec := range split {
+		buf = w.AppendIn(buf, rec)
 	}
 	return buf
 }
 
-func readRun[I any, K cmp.Ordered, V, O any](buf []byte, w *Wire[I, K, V, O]) (run[K, V], []byte, error) {
-	var r run[K, V]
-	u32 := func() (uint32, error) {
-		if len(buf) < 4 {
-			return 0, errors.New("mapreduce: truncated run")
-		}
-		v := binary.LittleEndian.Uint32(buf)
-		buf = buf[4:]
-		return v, nil
+func decodeMapTask[I any, K cmp.Ordered, V, O any](buf []byte, w *Wire[I, K, V, O]) (t, nReduce int, records []I, err error) {
+	var tt, nr, n uint32
+	if buf, err = readU32s(buf, &tt, &nr, &n); err != nil {
+		return 0, 0, nil, err
 	}
-	nk, err := u32()
-	if err != nil {
-		return r, buf, err
+	if nr < 1 || nr > maxFleetReduce {
+		return 0, 0, nil, fmt.Errorf("mapreduce: map task asks for %d partitions", nr)
 	}
-	r.keys = make([]K, nk)
-	r.prefs = make([]uint64, nk)
-	for i := range r.keys {
-		if r.keys[i], buf, err = w.ReadKey(buf); err != nil {
-			return r, buf, err
-		}
-		r.prefs[i] = keyPrefix(r.keys[i])
+	records, _, err = readSeq(buf, n, w.ReadIn)
+	return int(tt), int(nr), records, err
+}
+
+// appendMapDone encodes an mrMapDone payload: u32 task | u32 emitted |
+// u32 attempts | u32 nparts | runs.
+func appendMapDone[I any, K cmp.Ordered, V, O any](t int, parts []run[K, V], emitted, attempts int, w *Wire[I, K, V, O]) []byte {
+	buf := appendU32s(nil, t, emitted, attempts, len(parts))
+	for p := range parts {
+		buf = appendRun(buf, &parts[p], w.AppendKey, w.AppendVal)
 	}
-	no, err := u32()
-	if err != nil {
-		return r, buf, err
+	return buf
+}
+
+// decodeMapDone decodes an mrMapDone payload after its task id; the
+// reply must carry exactly nReduce runs.
+func decodeMapDone[I any, K cmp.Ordered, V, O any](buf []byte, nReduce int, w *Wire[I, K, V, O]) (parts []run[K, V], emitted, attempts int, err error) {
+	var e, a, n uint32
+	if buf, err = readU32s(buf, &e, &a, &n); err != nil {
+		return nil, 0, 0, err
 	}
-	r.offs = make([]int32, no)
-	for i := range r.offs {
-		v, err := u32()
-		if err != nil {
-			return r, buf, err
-		}
-		r.offs[i] = int32(v)
+	if int(n) != nReduce {
+		return nil, 0, 0, fmt.Errorf("mapreduce: map reply has %d partitions, want %d", n, nReduce)
 	}
-	nv, err := u32()
-	if err != nil {
-		return r, buf, err
+	parts, _, err = readSeq(buf, n, w.readRun)
+	return parts, int(e), int(a), err
+}
+
+// appendReduceTask encodes an mrReduce payload: u32 partition |
+// u32 nruns | runs.
+func appendReduceTask[I any, K cmp.Ordered, V, O any](p int, runs []*run[K, V], w *Wire[I, K, V, O]) []byte {
+	buf := appendU32s(nil, p, len(runs))
+	for _, r := range runs {
+		buf = appendRun(buf, r, w.AppendKey, w.AppendVal)
 	}
-	r.vals = make([]V, nv)
-	for i := range r.vals {
-		if r.vals[i], buf, err = w.ReadVal(buf); err != nil {
-			return r, buf, err
-		}
+	return buf
+}
+
+func decodeReduceTask[I any, K cmp.Ordered, V, O any](buf []byte, w *Wire[I, K, V, O]) (p int, runs []*run[K, V], err error) {
+	var pp, n uint32
+	if buf, err = readU32s(buf, &pp, &n); err != nil {
+		return 0, nil, err
 	}
-	return r, buf, nil
+	rs, _, err := readSeq(buf, n, w.readRun)
+	for i := range rs {
+		runs = append(runs, &rs[i])
+	}
+	return int(pp), runs, err
+}
+
+// appendReduceDone encodes an mrReduceDone payload: u32 partition |
+// u32 pairs | u32 groups | u32 retries | u32 runs | u32 passes |
+// u32 nout | outputs.
+func appendReduceDone[I any, K cmp.Ordered, V, O any](p int, outs []O, ps partStats, w *Wire[I, K, V, O]) []byte {
+	buf := appendU32s(nil, p, ps.pairs, ps.groups, ps.retries, ps.runs, ps.passes, len(outs))
+	for _, o := range outs {
+		buf = w.AppendOut(buf, o)
+	}
+	return buf
+}
+
+// decodeReduceDone decodes an mrReduceDone payload after its partition
+// id.
+func decodeReduceDone[I any, K cmp.Ordered, V, O any](buf []byte, w *Wire[I, K, V, O]) (outs []O, ps partStats, err error) {
+	var f [6]uint32
+	if buf, err = readU32s(buf, &f[0], &f[1], &f[2], &f[3], &f[4], &f[5]); err != nil {
+		return nil, ps, err
+	}
+	outs, _, err = readSeq(buf, f[5], w.ReadOut)
+	return outs, partStats{int(f[0]), int(f[1]), int(f[2]), int(f[3]), int(f[4])}, err
 }
 
 // FleetWorker joins the fleet at cfg.Join and executes map and reduce
@@ -169,75 +207,47 @@ func (j *Job[I, K, V, O]) FleetWorker(ctx context.Context, cfg pnet.WorkerConfig
 		cfg.Proto = MRProto
 	}
 	return pnet.RunWorker(ctx, cfg, func(m pnet.Msg, send func(pnet.Msg) error) error {
-		switch m.Type {
-		case mrMap:
-			buf := m.Payload
-			if len(buf) < 12 {
-				return errors.New("mapreduce: truncated map message")
-			}
-			task := int(binary.LittleEndian.Uint32(buf))
-			nReduce := int(binary.LittleEndian.Uint32(buf[4:]))
-			nRec := int(binary.LittleEndian.Uint32(buf[8:]))
-			buf = buf[12:]
-			records := make([]I, nRec)
-			var err error
-			for i := range records {
-				if records[i], buf, err = w.ReadIn(buf); err != nil {
-					return err
-				}
-			}
-			cfg := j.Config.withDefaults()
-			cfg.ReduceTasks = nReduce
-			out, emitted, _, err := j.runMapTask(ctx, task, records, cfg, nil)
-			if err != nil {
-				return err
-			}
-			reply := binary.LittleEndian.AppendUint32(nil, uint32(task))
-			reply = binary.LittleEndian.AppendUint32(reply, uint32(emitted))
-			reply = binary.LittleEndian.AppendUint32(reply, uint32(len(out)))
-			for p := range out {
-				reply = appendRun(reply, &out[p], w)
-			}
-			return send(pnet.Msg{Type: mrMapDone, Payload: reply})
-		case mrReduce:
-			buf := m.Payload
-			if len(buf) < 8 {
-				return errors.New("mapreduce: truncated reduce message")
-			}
-			p := int(binary.LittleEndian.Uint32(buf))
-			nRuns := int(binary.LittleEndian.Uint32(buf[4:]))
-			buf = buf[8:]
-			runs := make([]*run[K, V], nRuns)
-			for i := range runs {
-				var r run[K, V]
-				var err error
-				if r, buf, err = readRun(buf, w); err != nil {
-					return err
-				}
-				runs[i] = &r
-			}
-			var outs []O
-			emit := func(o O) { outs = append(outs, o) }
-			pairs, groups, err := mergeRuns(runs, func(key K, values []V, gi int) error {
-				return j.Reduce(key, values, emit)
-			})
-			if err != nil {
-				return err
-			}
-			reply := binary.LittleEndian.AppendUint32(nil, uint32(p))
-			reply = binary.LittleEndian.AppendUint32(reply, uint32(pairs))
-			reply = binary.LittleEndian.AppendUint32(reply, uint32(groups))
-			reply = binary.LittleEndian.AppendUint32(reply, uint32(len(outs)))
-			for _, o := range outs {
-				reply = w.AppendOut(reply, o)
-			}
-			return send(pnet.Msg{Type: mrReduceDone, Payload: reply})
-		case mrStop:
+		if m.Type == mrStop {
 			return pnet.ErrWorkerDone
-		default:
-			return fmt.Errorf("mapreduce: unexpected frame type %d", m.Type)
 		}
+		reply, err := j.serveTask(ctx, m, w)
+		if err != nil {
+			return err
+		}
+		return send(reply)
 	})
+}
+
+// serveTask executes one mrMap or mrReduce frame with the same map-task
+// and reducePartition code an in-process run uses, and returns the
+// reply frame.
+func (j *Job[I, K, V, O]) serveTask(ctx context.Context, m pnet.Msg, w *Wire[I, K, V, O]) (pnet.Msg, error) {
+	cfg := j.Config.withDefaults()
+	switch m.Type {
+	case mrMap:
+		t, nReduce, records, err := decodeMapTask(m.Payload, w)
+		if err != nil {
+			return pnet.Msg{}, err
+		}
+		cfg.ReduceTasks = nReduce
+		parts, emitted, attempts, err := j.runMapTask(ctx, t, records, cfg, nil)
+		if err != nil {
+			return pnet.Msg{}, err
+		}
+		return pnet.Msg{Type: mrMapDone, Payload: appendMapDone(t, parts, emitted, attempts, w)}, nil
+	case mrReduce:
+		p, runs, err := decodeReduceTask(m.Payload, w)
+		if err != nil {
+			return pnet.Msg{}, err
+		}
+		outs, ps, err := j.reducePartition(ctx, cfg, nil, p, memMerge(runs))
+		if err != nil {
+			return pnet.Msg{}, err
+		}
+		return pnet.Msg{Type: mrReduceDone, Payload: appendReduceDone(p, outs, ps, w)}, nil
+	default:
+		return pnet.Msg{}, fmt.Errorf("mapreduce: unexpected frame type %d", m.Type)
+	}
 }
 
 // fleetPhase dispatches tasks [0, n) across the fleet: every idle
@@ -266,27 +276,6 @@ func fleetPhase(ctx context.Context, co *pnet.Coordinator, workers int, n int,
 	completed := make([]bool, n)
 	remaining := n
 
-	allLost := func() bool {
-		for _, l := range lost {
-			if !l {
-				return false
-			}
-		}
-		return true
-	}
-	inlineRest := func() error {
-		for t := 0; t < n; t++ {
-			if completed[t] {
-				continue
-			}
-			if err := inline(t); err != nil {
-				return err
-			}
-			completed[t] = true
-			remaining--
-		}
-		return nil
-	}
 	assign := func(rank int) {
 		if lost[rank] || assigned[rank] >= 0 {
 			return
@@ -319,10 +308,17 @@ func fleetPhase(ctx context.Context, co *pnet.Coordinator, workers int, n int,
 		assign(r)
 	}
 	for remaining > 0 {
-		if allLost() {
+		if !slices.Contains(lost, false) {
 			sink.Log.Event(obs.LevelError, "mapreduce", "all fleet workers lost; finishing inline",
 				obs.Arg{Key: "remaining", Value: int64(remaining)})
-			return retries, inlineRest()
+			for t := range n {
+				if !completed[t] {
+					if err := inline(t); err != nil {
+						return retries, err
+					}
+				}
+			}
+			return retries, nil
 		}
 		select {
 		case <-ctx.Done():
@@ -337,19 +333,17 @@ func fleetPhase(ctx context.Context, co *pnet.Coordinator, workers int, n int,
 				// process; hand it (or the next pending one) out again.
 				release(ev.Rank)
 				assign(ev.Rank)
-			case pnet.PeerDead:
+			case pnet.PeerDead, pnet.PeerLost:
+				if ev.Kind == pnet.PeerLost {
+					lost[ev.Rank] = true
+				} else {
+					sink.Log.Event(obs.LevelWarn, "mapreduce", "fleet worker died",
+						obs.Arg{Key: "rank", Value: int64(ev.Rank)})
+				}
 				release(ev.Rank)
-				sink.Log.Event(obs.LevelWarn, "mapreduce", "fleet worker died",
-					obs.Arg{Key: "rank", Value: int64(ev.Rank)})
 				// Reassign to an idle survivor right away rather than
 				// waiting for the respawn.
-				for r := 0; r < workers; r++ {
-					assign(r)
-				}
-			case pnet.PeerLost:
-				lost[ev.Rank] = true
-				release(ev.Rank)
-				for r := 0; r < workers; r++ {
+				for r := range workers {
 					assign(r)
 				}
 			case pnet.PeerMsg:
@@ -389,180 +383,63 @@ func (j *Job[I, K, V, O]) RunFleet(ctx context.Context, inputs []I, fc *pnet.Fle
 		return nil, Stats{}, err
 	}
 	if j.Map == nil || j.Reduce == nil {
-		return nil, Stats{}, errors.New("mapreduce: job needs both Map and Reduce")
+		return nil, Stats{}, errNoPhases
 	}
 	if j.Config.Faults != nil || j.Spill != nil || j.Config.MaxShuffleBytes > 0 || j.Config.ReferenceShuffle {
 		return nil, Stats{}, errors.New("mapreduce: fleet mode excludes Faults/Spill/External/ReferenceShuffle")
 	}
-	if j.Counters == nil {
-		j.Counters = NewCounters()
+	if j.Config.ReduceTasks > maxFleetReduce {
+		return nil, Stats{}, fmt.Errorf("mapreduce: fleet mode takes at most %d reduce tasks", maxFleetReduce)
 	}
-	cfg := j.Config.withDefaults()
-	splits := splitInputs(inputs, cfg.MapTasks)
-	stats := Stats{MapTasks: len(splits), ReduceTasks: cfg.ReduceTasks}
-	for _, s := range splits {
-		stats.MapInputs += len(s)
-	}
-
 	conf := *fc
 	conf.Proto = MRProto
-	if conf.Workers <= 0 {
-		return nil, stats, errors.New("mapreduce: fleet needs FleetConfig.Workers >= 1")
-	}
 	if !conf.Obs.Enabled() {
-		conf.Obs = cfg.Obs
+		conf.Obs = j.Config.Obs
 	}
 	co, err := pnet.NewCoordinator(conf)
 	if err != nil {
-		return nil, stats, err
+		return nil, Stats{}, err
 	}
 	defer co.Close()
 	lost := make([]bool, conf.Workers)
-	pr := cfg.Obs.Progress
-	pr.Update("mapreduce",
-		obs.F("map_tasks", float64(len(splits))),
-		obs.F("map_done", 0),
-		obs.F("reduce_tasks", float64(cfg.ReduceTasks)),
-		obs.F("reduce_done", 0))
 
-	// ---- Map phase over the fleet -----------------------------------
-	mapOut := make([][]run[K, V], len(splits))
-	mapDone := 0
-	mapRetries, err := fleetPhase(ctx, co, conf.Workers, len(splits),
-		func(t int) pnet.Msg {
-			buf := binary.LittleEndian.AppendUint32(nil, uint32(t))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(cfg.ReduceTasks))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(splits[t])))
-			for _, rec := range splits[t] {
-				buf = w.AppendIn(buf, rec)
-			}
-			return pnet.Msg{Type: mrMap, Payload: buf}
-		},
-		func(t int, payload []byte) error {
-			if len(payload) < 8 {
-				return errors.New("mapreduce: truncated map reply")
-			}
-			emitted := int(binary.LittleEndian.Uint32(payload))
-			nParts := int(binary.LittleEndian.Uint32(payload[4:]))
-			buf := payload[8:]
-			if nParts != cfg.ReduceTasks {
-				return fmt.Errorf("mapreduce: map reply has %d partitions, want %d", nParts, cfg.ReduceTasks)
-			}
-			out := make([]run[K, V], nParts)
-			var err error
-			for p := range out {
-				if out[p], buf, err = readRun(buf, w); err != nil {
+	// fleetPhase is the remote scheduler; the driver's local task is
+	// its inline fallback once every worker is lost.
+	dispatch := func(ctx context.Context, r *jobRun[I, K, V, O], reduce bool, n int, local func(int) error) (int, error) {
+		if !reduce {
+			return fleetPhase(ctx, co, conf.Workers, n,
+				func(t int) pnet.Msg {
+					return pnet.Msg{Type: mrMap, Payload: appendMapTask(t, r.cfg.ReduceTasks, r.splits[t], w)}
+				},
+				func(t int, payload []byte) error {
+					parts, emitted, attempts, err := decodeMapDone(payload, r.cfg.ReduceTasks, w)
+					if err != nil {
+						return err
+					}
+					return r.mapDone(t, parts, emitted, attempts, false)
+				},
+				local, mrMapDone, lost, r.cfg.Obs)
+		}
+		return fleetPhase(ctx, co, conf.Workers, n,
+			func(p int) pnet.Msg {
+				return pnet.Msg{Type: mrReduce, Payload: appendReduceTask(p, r.partRuns(p), w)}
+			},
+			func(p int, payload []byte) error {
+				outs, ps, err := decodeReduceDone(payload, w)
+				if err != nil {
 					return err
 				}
-			}
-			mapOut[t] = out
-			stats.MapOutputs += emitted
-			j.Counters.Add("map.outputs", int64(emitted))
-			mapDone++
-			pr.Update("mapreduce", obs.F("map_done", float64(mapDone)))
-			return nil
-		},
-		func(t int) error {
-			out, emitted, _, err := j.runMapTask(ctx, t, splits[t], cfg, nil)
-			if err != nil {
-				return fmt.Errorf("mapreduce: map task %d: %w", t, err)
-			}
-			mapOut[t] = out
-			stats.MapOutputs += emitted
-			j.Counters.Add("map.outputs", int64(emitted))
-			mapDone++
-			pr.Update("mapreduce", obs.F("map_done", float64(mapDone)))
-			return nil
-		},
-		mrMapDone, lost, cfg.Obs)
+				r.reduceDone(p, outs, ps)
+				return nil
+			},
+			local, mrReduceDone, lost, r.cfg.Obs)
+	}
+	out, stats, err := j.runJob(ctx, inputs, nil, dispatch)
 	if err != nil {
 		return nil, stats, err
 	}
-
-	// ---- Reduce phase over the fleet --------------------------------
-	partRuns := make([][]*run[K, V], cfg.ReduceTasks)
-	for p := 0; p < cfg.ReduceTasks; p++ {
-		for t := range mapOut {
-			if p < len(mapOut[t]) && len(mapOut[t][p].keys) > 0 {
-				partRuns[p] = append(partRuns[p], &mapOut[t][p])
-			}
-		}
-		stats.ShuffleRuns += len(partRuns[p])
-		if len(partRuns[p]) > 0 {
-			stats.MergePasses++
-		}
-	}
-	partOut := make([][]O, cfg.ReduceTasks)
-	redDone := 0
-	record := func(p, pairs, groups int, outs []O) {
-		partOut[p] = outs
-		stats.CombineOutputs += pairs
-		stats.ReduceGroups += groups
-		redDone++
-		pr.Update("mapreduce", obs.F("reduce_done", float64(redDone)))
-	}
-	redRetries, err := fleetPhase(ctx, co, conf.Workers, cfg.ReduceTasks,
-		func(p int) pnet.Msg {
-			buf := binary.LittleEndian.AppendUint32(nil, uint32(p))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(partRuns[p])))
-			for _, r := range partRuns[p] {
-				buf = appendRun(buf, r, w)
-			}
-			return pnet.Msg{Type: mrReduce, Payload: buf}
-		},
-		func(p int, payload []byte) error {
-			if len(payload) < 12 {
-				return errors.New("mapreduce: truncated reduce reply")
-			}
-			pairs := int(binary.LittleEndian.Uint32(payload))
-			groups := int(binary.LittleEndian.Uint32(payload[4:]))
-			nOut := int(binary.LittleEndian.Uint32(payload[8:]))
-			buf := payload[12:]
-			outs := make([]O, nOut)
-			var err error
-			for i := range outs {
-				if outs[i], buf, err = w.ReadOut(buf); err != nil {
-					return err
-				}
-			}
-			record(p, pairs, groups, outs)
-			return nil
-		},
-		func(p int) error {
-			var outs []O
-			emit := func(o O) { outs = append(outs, o) }
-			pairs, groups, err := mergeRuns(partRuns[p], func(key K, values []V, gi int) error {
-				return j.Reduce(key, values, emit)
-			})
-			if err != nil {
-				return fmt.Errorf("mapreduce: reduce partition %d: %w", p, err)
-			}
-			record(p, pairs, groups, outs)
-			return nil
-		},
-		mrReduceDone, lost, cfg.Obs)
-	if err != nil {
-		return nil, stats, err
-	}
-
 	for r := 0; r < conf.Workers; r++ {
 		co.Send(r, pnet.Msg{Type: mrStop}) // best effort
-	}
-	stats.TaskRetries = mapRetries + redRetries
-	var out []O
-	for _, po := range partOut {
-		out = append(out, po...)
-	}
-	stats.Outputs = len(out)
-	if m := cfg.Obs.Metrics; m != nil {
-		m.Counter("mapreduce.tasks.map").Add(int64(stats.MapTasks))
-		m.Counter("mapreduce.tasks.reduce").Add(int64(stats.ReduceTasks))
-		m.Counter("mapreduce.records.in").Add(int64(stats.MapInputs))
-		m.Counter("mapreduce.records.out").Add(int64(stats.Outputs))
-		m.Counter("mapreduce.groups").Add(int64(stats.ReduceGroups))
-		m.Counter("mapreduce.retries").Add(int64(stats.TaskRetries))
-		m.Counter("mapreduce.shuffle.runs").Add(int64(stats.ShuffleRuns))
-		m.Counter("mapreduce.shuffle.merge_passes").Add(int64(stats.MergePasses))
 	}
 	return out, stats, nil
 }

@@ -209,8 +209,8 @@ func TestRunRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := appendRun(nil, &r, w)
-	got, rest, err := readRun(buf, w)
+	buf := appendRun(nil, &r, w.AppendKey, w.AppendVal)
+	got, rest, err := readRun(buf, w.ReadKey, w.ReadVal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestRunRoundTrip(t *testing.T) {
 		}
 	}
 	// Empty run round-trips too.
-	empty, rest, err := readRun(appendRun(nil, &run[string, int]{}, w), w)
+	empty, rest, err := readRun(appendRun(nil, &run[string, int]{}, w.AppendKey, w.AppendVal), w.ReadKey, w.ReadVal)
 	if err != nil || len(rest) != 0 || len(empty.keys) != 0 {
 		t.Fatalf("empty run: %v %d %d", err, len(rest), len(empty.keys))
 	}

@@ -17,19 +17,18 @@
 // ordered by key, and within a group values appear in (map-task,
 // emission) order, so every job result is reproducible regardless of
 // the worker interleaving. A Hadoop-Streaming-style line-oriented
-// front end is provided in streaming.go.
+// front end is provided in streaming.go. Every entry point runs the
+// one job driver in driver.go.
 package mapreduce
 
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -236,266 +235,14 @@ func (j *Job[I, K, V, O]) Run(inputs []I) ([]O, Stats, error) {
 // attempts finish — map and reduce functions are not interrupted
 // mid-record).
 func (j *Job[I, K, V, O]) RunContext(ctx context.Context, inputs []I) ([]O, Stats, error) {
-	cfg := j.Config.withDefaults()
-	if j.Map == nil || j.Reduce == nil {
-		return nil, Stats{}, errors.New("mapreduce: job needs both Map and Reduce")
-	}
-	if j.Counters == nil {
-		j.Counters = NewCounters()
-	}
-	inj := fault.NewInjector(cfg.Faults, cfg.Obs)
-	if j.Spill != nil {
-		if err := j.Spill.prepare(); err != nil {
-			return nil, Stats{}, err
-		}
-	}
-
-	splits := splitInputs(inputs, cfg.MapTasks)
-	stats := Stats{MapTasks: len(splits), ReduceTasks: cfg.ReduceTasks}
-
-	var ext *extShuffle[K, V]
-	if cfg.MaxShuffleBytes > 0 {
-		if j.External == nil {
-			return nil, stats, errors.New("mapreduce: Config.MaxShuffleBytes needs Job.External (scratch dir + shuffle codecs)")
-		}
-		if cfg.ReferenceShuffle {
-			return nil, stats, errors.New("mapreduce: ReferenceShuffle cannot run out-of-core; unset Config.MaxShuffleBytes")
-		}
-		var eerr error
-		ext, eerr = newExtShuffle(j.External, cfg.MaxShuffleBytes, cfg.MergeFanIn, len(splits), cfg.ReduceTasks)
-		if eerr != nil {
-			return nil, stats, eerr
-		}
-		defer ext.cleanup()
-	}
-
-	// ---- Map phase -------------------------------------------------
-	// mapOut[task][partition] holds the sorted run task t routed to
-	// partition p, kept per-task so the shuffle merge can break key
-	// ties by task index for deterministic value ordering.
-	mapOut := make([][]run[K, V], len(splits))
-	var (
-		retries int64
-		statsMu sync.Mutex
-		mapDone atomic.Int64
-	)
-	tr := cfg.Obs.Tracer
-	pr := cfg.Obs.Progress
-	pr.Update("mapreduce",
-		obs.F("map_tasks", float64(len(splits))),
-		obs.F("map_done", 0),
-		obs.F("reduce_tasks", float64(cfg.ReduceTasks)),
-		obs.F("reduce_done", 0))
-	err := runTasks(ctx, len(splits), cfg.Parallelism, func(t int) error {
-		split := splits[t]
-		mapTS := tr.Now()
-		if j.Spill != nil {
-			if out, emitted, ok := j.Spill.load(t, cfg.ReduceTasks); ok {
-				mapOut[t] = out
-				if ext != nil {
-					if err := ext.admit(t, mapOut[t]); err != nil {
-						return err
-					}
-				}
-				statsMu.Lock()
-				stats.MapOutputs += emitted
-				stats.MapTasksResumed++
-				statsMu.Unlock()
-				j.Counters.Add("map.outputs", int64(emitted))
-				if m := cfg.Obs.Metrics; m != nil {
-					m.Counter("ckpt.spill_resumed").Inc()
-				}
-				if tr != nil {
-					tr.Span(tr.Track("mapreduce-map", t, fmt.Sprintf("map task %d", t)),
-						"map(resumed)", mapTS, tr.Now()-mapTS,
-						obs.Arg{Key: "emitted", Value: int64(emitted)})
-				}
-				pr.Update("mapreduce", obs.F("map_done", float64(mapDone.Add(1))))
-				return nil
-			}
-		}
-		out, emitted, attempts, err := j.runMapTask(ctx, t, split, cfg, inj)
-		if tr != nil {
-			tr.Span(tr.Track("mapreduce-map", t, fmt.Sprintf("map task %d", t)),
-				"map", mapTS, tr.Now()-mapTS,
-				obs.Arg{Key: "records", Value: int64(len(split))},
-				obs.Arg{Key: "emitted", Value: int64(emitted)})
-		}
-		if err != nil {
-			return fmt.Errorf("mapreduce: map task %d: %w", t, err)
-		}
-		if j.Spill != nil {
-			if err := j.Spill.save(t, out, emitted); err != nil {
-				return fmt.Errorf("mapreduce: map task %d spill: %w", t, err)
-			}
-			if m := cfg.Obs.Metrics; m != nil {
-				m.Counter("ckpt.spill_saves").Inc()
-			}
-		}
-		mapOut[t] = out
-		if ext != nil {
-			if err := ext.admit(t, mapOut[t]); err != nil {
-				return err
-			}
-		}
-		statsMu.Lock()
-		retries += int64(attempts - 1)
-		stats.MapOutputs += emitted
-		statsMu.Unlock()
-		j.Counters.Add("map.outputs", int64(emitted))
-		pr.Update("mapreduce", obs.F("map_done", float64(mapDone.Add(1))))
-		return nil
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	for _, split := range splits {
-		stats.MapInputs += len(split)
-	}
-
-	out, redStats, err := j.reducePhase(ctx, mapOut, cfg, inj, ext)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.CombineOutputs = redStats.CombineOutputs
-	stats.ReduceGroups = redStats.ReduceGroups
-	stats.Outputs = len(out)
-	stats.TaskRetries = int(retries) + redStats.TaskRetries
-	stats.ShuffleRuns = redStats.ShuffleRuns
-	stats.MergePasses = redStats.MergePasses
-	if ext != nil {
-		stats.SpilledRuns = int(ext.spilledRuns.Load())
-		stats.SpilledBytes = ext.spilledBytes.Load()
-	}
-	if m := cfg.Obs.Metrics; m != nil {
-		m.Counter("mapreduce.tasks.map").Add(int64(stats.MapTasks))
-		m.Counter("mapreduce.tasks.reduce").Add(int64(stats.ReduceTasks))
-		m.Counter("mapreduce.records.in").Add(int64(stats.MapInputs))
-		m.Counter("mapreduce.records.out").Add(int64(stats.Outputs))
-		m.Counter("mapreduce.groups").Add(int64(stats.ReduceGroups))
-		m.Counter("mapreduce.retries").Add(int64(stats.TaskRetries))
-		m.Counter("mapreduce.shuffle.runs").Add(int64(stats.ShuffleRuns))
-		m.Counter("mapreduce.shuffle.merge_passes").Add(int64(stats.MergePasses))
-		if ext != nil {
-			m.Counter("mapreduce.shuffle.spilled_runs").Add(int64(stats.SpilledRuns))
-			m.Counter("mapreduce.shuffle.spilled_bytes").Add(stats.SpilledBytes)
-		}
-	}
-	return out, stats, nil
-}
-
-// reducePhase runs the shuffle and reduce over already-partitioned,
-// per-task-sorted map output. Partitions are processed concurrently
-// under cfg.Parallelism; within a partition the k-way merge of the
-// task runs streams each key's values (in map-task order) directly
-// into the reducer — shuffle and reduce are one fused pass with no
-// group materialization. The returned Stats carries only the fields
-// this phase owns: CombineOutputs, ReduceGroups, TaskRetries,
-// ShuffleRuns, MergePasses. A non-nil ext routes partitions with
-// spilled runs through the multi-pass external merge; output and
-// group ordinals are identical to the in-memory path.
-func (j *Job[I, K, V, O]) reducePhase(ctx context.Context, mapOut [][]run[K, V], cfg Config[K], inj *fault.Injector, ext *extShuffle[K, V]) ([]O, Stats, error) {
-	if cfg.ReferenceShuffle {
-		return j.naiveReducePhase(ctx, mapOut, cfg, inj)
-	}
-	var (
-		stats   Stats
-		statsMu sync.Mutex
-		redDone atomic.Int64
-	)
-	tr := cfg.Obs.Tracer
-	pr := cfg.Obs.Progress
-	hGroup := cfg.Obs.Metrics.Histogram("mapreduce.group_size", nil) // nil-safe
-	partOut := make([][]O, cfg.ReduceTasks)
-	err := runTasks(ctx, cfg.ReduceTasks, cfg.Parallelism, func(p int) error {
-		shufTS := tr.Now()
-		var (
-			out     []O
-			retries int
-		)
-		emit := func(o O) { out = append(out, o) }
-		group := func(key K, values []V, gi int) error {
-			hGroup.Observe(float64(len(values)))
-			attempts, rerr := retryTask(ctx, cfg.MaxAttempts, cfg.RetryBackoff,
-				retrySeed(cfg), fmt.Sprintf("reduce:%d:%d", p, gi), func(attempt int) error {
-				if inj.TaskFails("reduce", attempt, p, gi) {
-					return fault.ErrInjected
-				}
-				checkpoint := len(out)
-				if err := j.Reduce(key, values, emit); err != nil {
-					out = out[:checkpoint] // discard partial emissions
-					return err
-				}
-				return nil
-			})
-			retries += attempts - 1
-			if rerr != nil {
-				return fmt.Errorf("mapreduce: reduce partition %d key %v: %w", p, key, rerr)
-			}
-			return nil
-		}
-		var pairs, groups, nRuns, passes int
-		var err error
-		if ext != nil && ext.hasDisk(p) {
-			pairs, groups, nRuns, passes, err = ext.mergePartition(p, mapOut, group)
-		} else {
-			runs := make([]*run[K, V], 0, len(mapOut))
-			for t := range mapOut {
-				if p < len(mapOut[t]) && len(mapOut[t][p].keys) > 0 {
-					runs = append(runs, &mapOut[t][p])
-				}
-			}
-			nRuns = len(runs)
-			if nRuns > 0 {
-				passes = 1
-			}
-			pairs, groups, err = mergeRuns(runs, group)
-		}
-		if tr != nil {
-			now := tr.Now()
-			// Shuffle and reduce are fused, so the per-partition spans
-			// cover the same interval on their two tracks; the shuffle
-			// span carries the merge shape.
-			tr.Span(tr.Track("mapreduce-shuffle", p, fmt.Sprintf("shuffle %d", p)),
-				"shuffle", shufTS, now-shufTS,
-				obs.Arg{Key: "runs", Value: int64(nRuns)},
-				obs.Arg{Key: "pairs", Value: int64(pairs)},
-				obs.Arg{Key: "groups", Value: int64(groups)})
-			tr.Span(tr.Track("mapreduce-reduce", p, fmt.Sprintf("reduce %d", p)),
-				"reduce", shufTS, now-shufTS,
-				obs.Arg{Key: "groups", Value: int64(groups)})
-		}
-		statsMu.Lock()
-		stats.CombineOutputs += pairs
-		stats.ReduceGroups += groups
-		stats.TaskRetries += retries
-		stats.ShuffleRuns += nRuns
-		stats.MergePasses += passes
-		statsMu.Unlock()
-		if err != nil {
-			return err
-		}
-		partOut[p] = out
-		pr.Update("mapreduce", obs.F("reduce_done", float64(redDone.Add(1))))
-		return nil
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-
-	var out []O
-	for _, po := range partOut {
-		out = append(out, po...)
-	}
-	return out, stats, nil
+	return j.runJob(ctx, inputs, nil, nil)
 }
 
 // runTasks executes fn(task) for task in [0, n), at most parallelism
 // at a time, skipping tasks queued after ctx is cancelled (ctx.Err()
 // becomes the result). The first error wins; later tasks still run —
 // the map/reduce retry semantics are per task, not per phase. It is
-// the shared skeleton of the map phase, the shuffle-reduce phase, and
-// the naive reference reduce loop.
+// the in-process placement of both phases of every job.
 func runTasks(ctx context.Context, n, parallelism int, fn func(task int) error) error {
 	var (
 		wg      sync.WaitGroup
@@ -530,53 +277,72 @@ func runTasks(ctx context.Context, n, parallelism int, fn func(task int) error) 
 }
 
 // runMapTask executes one map task (with retry): maps every record of
-// the split, partitions the result, and turns each partition slice
-// into a sorted, span-compressed run (with map-side combining applied
-// as the spans are built, so combiner jobs shrink data before the
-// shuffle ever sees it). The sort happens here, at map-task
-// granularity, inside the already-parallel map phase — the shuffle
-// then only merges. It returns the per-partition runs, the raw
-// emission count, the number of attempts, and the final error.
+// the split and hands the pairs to partitionRuns. It returns the
+// per-partition runs, the raw emission count, the number of attempts,
+// and the final error.
 func (j *Job[I, K, V, O]) runMapTask(ctx context.Context, t int, split []I, cfg Config[K], inj *fault.Injector) ([]run[K, V], int, int, error) {
-	var parts []run[K, V]
-	emitted := 0
-	attempts, err := retryTask(ctx, cfg.MaxAttempts, cfg.RetryBackoff,
-		retrySeed(cfg), fmt.Sprintf("map:%d", t), func(attempt int) error {
-		if inj.TaskFails("map", attempt, t) {
-			return fault.ErrInjected
-		}
-		var pairs []KV[K, V]
-		emit := func(k K, v V) { pairs = append(pairs, KV[K, V]{k, v}) }
+	return j.mapAttempts(ctx, t, cfg, inj, func(emit func(K, V)) error {
 		for _, rec := range split {
 			if err := j.Map(rec, emit); err != nil {
 				return err
 			}
 		}
-		emitted = len(pairs)
-
-		flat := make([][]prefKV[K, V], cfg.ReduceTasks)
-		for i, kv := range pairs {
-			p := cfg.Partitioner(kv.Key, cfg.ReduceTasks)
-			if p < 0 || p >= cfg.ReduceTasks {
-				return fmt.Errorf("partitioner returned %d for %d partitions", p, cfg.ReduceTasks)
-			}
-			flat[p] = append(flat[p], prefKV[K, V]{pref: keyPrefix(kv.Key), seq: int32(i), kv: kv})
-		}
-		parts = make([]run[K, V], cfg.ReduceTasks)
-		cmpPairs := pairCmp[K, V]()
-		for p, fp := range flat {
-			// The emission-sequence tie-break makes this unstable (and
-			// faster) sort produce a stable order.
-			slices.SortFunc(fp, cmpPairs)
-			r, err := buildRun(fp, j.Combine)
-			if err != nil {
-				return err
-			}
-			parts[p] = r
-		}
 		return nil
 	})
+}
+
+// mapAttempts runs map task t's producer under the retry budget (inj
+// may fail attempts) and turns the pairs of the successful attempt into
+// per-partition runs. It returns the runs, the raw emission count, the
+// number of attempts, and the final error.
+func (j *Job[I, K, V, O]) mapAttempts(ctx context.Context, t int, cfg Config[K], inj *fault.Injector, produce func(emit func(K, V)) error) ([]run[K, V], int, int, error) {
+	var parts []run[K, V]
+	emitted := 0
+	attempts, err := retryTask(ctx, cfg.MaxAttempts, cfg.RetryBackoff,
+		retrySeed(cfg), fmt.Sprintf("map:%d", t), func(attempt int) error {
+			if inj.TaskFails("map", attempt, t) {
+				return fault.ErrInjected
+			}
+			var pairs []KV[K, V]
+			if err := produce(func(k K, v V) { pairs = append(pairs, KV[K, V]{k, v}) }); err != nil {
+				return err
+			}
+			emitted = len(pairs)
+			var err error
+			parts, err = partitionRuns(pairs, cfg, j.Combine)
+			return err
+		})
 	return parts, emitted, attempts, err
+}
+
+// partitionRuns routes one map task's pairs to their partitions and
+// turns each partition slice into a sorted, span-compressed run (with
+// map-side combining applied as the spans are built, so combiner jobs
+// shrink data before the shuffle ever sees it). The sort happens here,
+// at map-task granularity, inside the already-parallel map phase — the
+// shuffle then only merges.
+func partitionRuns[K cmp.Ordered, V any](pairs []KV[K, V], cfg Config[K], combine Combiner[K, V]) ([]run[K, V], error) {
+	flat := make([][]prefKV[K, V], cfg.ReduceTasks)
+	for i, kv := range pairs {
+		p := cfg.Partitioner(kv.Key, cfg.ReduceTasks)
+		if p < 0 || p >= cfg.ReduceTasks {
+			return nil, fmt.Errorf("partitioner returned %d for %d partitions", p, cfg.ReduceTasks)
+		}
+		flat[p] = append(flat[p], prefKV[K, V]{pref: keyPrefix(kv.Key), seq: int32(i), kv: kv})
+	}
+	parts := make([]run[K, V], cfg.ReduceTasks)
+	cmpPairs := pairCmp[K, V]()
+	for p, fp := range flat {
+		// The emission-sequence tie-break makes this unstable (and
+		// faster) sort produce a stable order.
+		slices.SortFunc(fp, cmpPairs)
+		r, err := buildRun(fp, combine)
+		if err != nil {
+			return nil, err
+		}
+		parts[p] = r
+	}
+	return parts, nil
 }
 
 // retrySeed picks the jitter seed for a config: the fault plan's seed

@@ -39,7 +39,12 @@ package mapreduce
 // order the old shuffle produced by concatenating task outputs before
 // grouping.
 
-import "cmp"
+import (
+	"cmp"
+	"encoding/binary"
+	"errors"
+	"fmt"
+)
 
 // Prefix exactness classes: what a prefix tie proves about the keys.
 const (
@@ -140,6 +145,116 @@ type run[K cmp.Ordered, V any] struct {
 }
 
 func (r *run[K, V]) pairs() int { return len(r.vals) }
+
+// appendRun serializes one run — the one run codec, shared by Spill
+// files and the fleet wire:
+//
+//	u32 nkeys | keys | u32 noffs | offs (u32 each) | u32 nvals | vals
+//
+// Prefixes are not stored: they are a pure function of the keys and
+// readRun recomputes them, keeping the format independent of the
+// accelerator encoding.
+func appendRun[K cmp.Ordered, V any](buf []byte, r *run[K, V], appendKey func([]byte, K) []byte, appendVal func([]byte, V) []byte) []byte {
+	buf = appendU32s(buf, len(r.keys))
+	for _, k := range r.keys {
+		buf = appendKey(buf, k)
+	}
+	buf = appendU32s(buf, len(r.offs))
+	for _, off := range r.offs {
+		buf = appendU32s(buf, int(off))
+	}
+	buf = appendU32s(buf, len(r.vals))
+	for _, v := range r.vals {
+		buf = appendVal(buf, v)
+	}
+	return buf
+}
+
+var errTruncated = errors.New("mapreduce: truncated payload")
+
+// appendU32s appends each value as a little-endian u32.
+func appendU32s(buf []byte, vs ...int) []byte {
+	for _, v := range vs {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+	}
+	return buf
+}
+
+// readU32s consumes one little-endian u32 into each of dst.
+func readU32s(buf []byte, dst ...*uint32) ([]byte, error) {
+	if len(buf) < 4*len(dst) {
+		return buf, errTruncated
+	}
+	for i, d := range dst {
+		*d = binary.LittleEndian.Uint32(buf[4*i:])
+	}
+	return buf[4*len(dst):], nil
+}
+
+func readOff(buf []byte) (int32, []byte, error) {
+	var v uint32
+	buf, err := readU32s(buf, &v)
+	return int32(v), buf, err
+}
+
+// readSeq decodes n elements with read. n comes from a peer or a disk,
+// so the preallocation is capped by the bytes left to decode from: a
+// count alone never sizes an allocation.
+func readSeq[T any](buf []byte, n uint32, read func([]byte) (T, []byte, error)) ([]T, []byte, error) {
+	out := make([]T, 0, min(uint64(n), uint64(len(buf))))
+	for range n {
+		v, rest, err := read(buf)
+		if err != nil {
+			return nil, rest, err
+		}
+		out, buf = append(out, v), rest
+	}
+	return out, buf, nil
+}
+
+// readRun decodes one appendRun encoding and returns the rest of buf.
+// The counts are untrusted, so the invariants the merge indexes by are
+// checked: noffs is nkeys+1 (at most 1 without keys), and offsets start
+// at 0, never decrease and end at nvals.
+func readRun[K cmp.Ordered, V any](buf []byte, readKey func([]byte) (K, []byte, error), readVal func([]byte) (V, []byte, error)) (r run[K, V], rest []byte, err error) {
+	var nk, no, nv uint32
+	if buf, err = readU32s(buf, &nk); err != nil {
+		return r, buf, err
+	}
+	if r.keys, buf, err = readSeq(buf, nk, readKey); err != nil {
+		return r, buf, err
+	}
+	if buf, err = readU32s(buf, &no); err != nil {
+		return r, buf, err
+	}
+	if (nk > 0 && uint64(no) != uint64(nk)+1) || (nk == 0 && no > 1) {
+		return r, buf, fmt.Errorf("mapreduce: run has %d offsets for %d keys", no, nk)
+	}
+	if r.offs, buf, err = readSeq(buf, no, readOff); err != nil {
+		return r, buf, err
+	}
+	last := int32(0)
+	for i, off := range r.offs {
+		if off < last || (i == 0 && off != 0) {
+			return r, buf, fmt.Errorf("mapreduce: run offset %d is %d after %d", i, off, last)
+		}
+		last = off
+	}
+	if buf, err = readU32s(buf, &nv); err != nil {
+		return r, buf, err
+	}
+	if int64(nv) != int64(last) {
+		return r, buf, fmt.Errorf("mapreduce: run offsets end at %d, run has %d values", last, nv)
+	}
+	if r.vals, buf, err = readSeq(buf, nv, readVal); err != nil {
+		return r, buf, err
+	}
+	r.prefs = make([]uint64, len(r.keys))
+	for i, k := range r.keys {
+		r.prefs[i] = keyPrefix(k)
+	}
+	return r, buf, nil
+}
 
 // prefKV is the map side's sortable pair: the key's prefix, the
 // emission sequence (the stable-sort tie-break, so an unstable — and

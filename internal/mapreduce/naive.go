@@ -10,31 +10,27 @@ package mapreduce
 // sorted-run pipeline was built to remove: one goroutine doing every
 // partition's grouping, a hash-map index per partition, a materialized
 // group table, and a full re-sort of keys the runs already had in
-// order.
+// order. Only the grouping differs: the groups are reduced by the same
+// reducePartition step as the merge pipeline's.
 
 import (
-	"context"
-	"fmt"
+	"cmp"
 	"sort"
-	"sync"
-
-	"repro/internal/fault"
-	"repro/internal/obs"
 )
 
-func (j *Job[I, K, V, O]) naiveReducePhase(ctx context.Context, mapOut [][]run[K, V], cfg Config[K], inj *fault.Injector) ([]O, Stats, error) {
-	var stats Stats
+// naiveShuffle groups every partition's map output up front and
+// returns, per partition, a merge that replays the sorted groups.
+// ShuffleRuns and MergePasses stay 0: nothing is merged.
+func naiveShuffle[K cmp.Ordered, V any](mapOut [][]run[K, V], nReduce int) []mergeFunc[K, V] {
 	type group struct {
 		key    K
 		values []V
 	}
-	tr := cfg.Obs.Tracer
-	hGroup := cfg.Obs.Metrics.Histogram("mapreduce.group_size", nil) // nil-safe
-	shufTS := tr.Now()
-	partGroups := make([][]group, cfg.ReduceTasks)
-	for p := 0; p < cfg.ReduceTasks; p++ {
+	merges := make([]mergeFunc[K, V], nReduce)
+	for p := range merges {
 		idx := map[K]int{}
 		var groups []group
+		pairs := 0
 		for t := range mapOut {
 			r := &mapOut[t][p]
 			for si, key := range r.keys {
@@ -46,70 +42,18 @@ func (j *Job[I, K, V, O]) naiveReducePhase(ctx context.Context, mapOut [][]run[K
 				}
 				span := r.vals[r.offs[si]:r.offs[si+1]]
 				groups[g].values = append(groups[g].values, span...)
-				stats.CombineOutputs += len(span)
+				pairs += len(span)
 			}
 		}
 		sort.Slice(groups, func(a, b int) bool { return groups[a].key < groups[b].key })
-		partGroups[p] = groups
-		stats.ReduceGroups += len(groups)
-		for _, g := range groups {
-			hGroup.Observe(float64(len(g.values)))
+		merges[p] = func(emit func(K, []V, int) error) (partStats, error) {
+			for gi, g := range groups {
+				if err := emit(g.key, g.values, gi); err != nil {
+					return partStats{pairs: pairs, groups: gi + 1}, err
+				}
+			}
+			return partStats{pairs: pairs, groups: len(groups)}, nil
 		}
 	}
-	if tr != nil {
-		tr.Span(tr.Track("mapreduce-shuffle", 0, "shuffle"),
-			"shuffle", shufTS, tr.Now()-shufTS,
-			obs.Arg{Key: "groups", Value: int64(stats.ReduceGroups)})
-	}
-
-	var (
-		retries int64
-		statsMu sync.Mutex
-	)
-	partOut := make([][]O, cfg.ReduceTasks)
-	err := runTasks(ctx, cfg.ReduceTasks, cfg.Parallelism, func(p int) error {
-		redTS := tr.Now()
-		defer func() {
-			if tr != nil {
-				tr.Span(tr.Track("mapreduce-reduce", p, fmt.Sprintf("reduce %d", p)),
-					"reduce", redTS, tr.Now()-redTS,
-					obs.Arg{Key: "groups", Value: int64(len(partGroups[p]))})
-			}
-		}()
-		var out []O
-		emit := func(o O) { out = append(out, o) }
-		for gi, g := range partGroups[p] {
-			attempts, err := retryTask(ctx, cfg.MaxAttempts, cfg.RetryBackoff,
-				retrySeed(cfg), fmt.Sprintf("reduce:%d:%d", p, gi), func(attempt int) error {
-				if inj.TaskFails("reduce", attempt, p, gi) {
-					return fault.ErrInjected
-				}
-				checkpoint := len(out)
-				if err := j.Reduce(g.key, g.values, emit); err != nil {
-					out = out[:checkpoint] // discard partial emissions
-					return err
-				}
-				return nil
-			})
-			statsMu.Lock()
-			retries += int64(attempts - 1)
-			statsMu.Unlock()
-			if err != nil {
-				return fmt.Errorf("mapreduce: reduce partition %d key %v: %w", p, g.key, err)
-			}
-		}
-		partOut[p] = out
-		return nil
-	})
-	if err != nil {
-		stats.TaskRetries = int(retries)
-		return nil, stats, err
-	}
-
-	var out []O
-	for _, po := range partOut {
-		out = append(out, po...)
-	}
-	stats.TaskRetries = int(retries)
-	return out, stats, nil
+	return merges
 }

@@ -15,8 +15,7 @@ package mapreduce
 
 import (
 	"context"
-	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -46,96 +45,45 @@ type SpecStats struct {
 // differs. Both attempts of a task produce the same sorted runs, so
 // whichever wins feeds the merge shuffle identically.
 func (j *Job[I, K, V, O]) RunSpeculative(inputs []I, spec SpecConfig) ([]O, SpecStats, error) {
-	cfg := j.Config.withDefaults()
-	if j.Map == nil || j.Reduce == nil {
-		return nil, SpecStats{}, fmt.Errorf("mapreduce: job needs both Map and Reduce")
+	var launched, won atomic.Int64
+	type result struct {
+		parts             []run[K, V]
+		emitted, attempts int
+		err               error
+		attempt           int // 0 original, 1 backup
 	}
-	if j.Counters == nil {
-		j.Counters = NewCounters()
-	}
-	splits := splitInputs(inputs, cfg.MapTasks)
-	stats := SpecStats{Stats: Stats{MapTasks: len(splits), ReduceTasks: cfg.ReduceTasks}}
-
-	type taskResult struct {
-		parts   []run[K, V]
-		emitted int
-		err     error
-		attempt int
-	}
-	results := make([]taskResult, len(splits))
-	var (
-		wg      sync.WaitGroup
-		sem     = make(chan struct{}, cfg.Parallelism+len(splits)) // backups must not starve
-		mu      sync.Mutex
-		settled = make([]bool, len(splits))
-	)
-
-	runAttempt := func(t int, attempt int, done chan<- struct{}) {
-		sem <- struct{}{}
-		defer func() { <-sem }()
-		if spec.InjectDelay != nil {
-			if d := spec.InjectDelay(t, attempt); d > 0 {
-				time.Sleep(d)
+	// Each map task races its original attempt against a backup
+	// launched once the original has run for SpeculationAfter; the
+	// first attempt to finish wins and the loser's result is dropped.
+	race := func(ctx context.Context, r *jobRun[I, K, V, O], t int) ([]run[K, V], int, int, error) {
+		done := make(chan result, 2) // the loser never blocks
+		attempt := func(a int) {
+			if spec.InjectDelay != nil {
+				time.Sleep(spec.InjectDelay(t, a))
 			}
+			parts, emitted, attempts, err := j.runMapTask(ctx, t, r.splits[t], r.cfg, r.inj)
+			done <- result{parts, emitted, attempts, err, a}
 		}
-		parts, emitted, _, err := j.runMapTask(context.Background(), t, splits[t], cfg, nil)
-		mu.Lock()
-		if !settled[t] {
-			settled[t] = true
-			results[t] = taskResult{parts, emitted, err, attempt}
+		go attempt(0)
+		var straggling <-chan time.Time // nil: never speculate
+		if spec.SpeculationAfter > 0 {
+			timer := time.NewTimer(spec.SpeculationAfter)
+			defer timer.Stop()
+			straggling = timer.C
 		}
-		mu.Unlock()
+		var res result
 		select {
-		case done <- struct{}{}:
-		default:
+		case res = <-done:
+		case <-straggling:
+			launched.Add(1)
+			go attempt(1)
+			res = <-done
 		}
-	}
-
-	for t := range splits {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			done := make(chan struct{}, 2)
-			go runAttempt(t, 0, done)
-			if spec.SpeculationAfter <= 0 {
-				<-done
-				return
-			}
-			select {
-			case <-done:
-				return
-			case <-time.After(spec.SpeculationAfter):
-				mu.Lock()
-				stats.BackupsLaunched++
-				mu.Unlock()
-				go runAttempt(t, 1, done)
-				<-done
-			}
-		}(t)
-	}
-	wg.Wait()
-
-	// Aggregate, honoring the winner of each race.
-	mapOut := make([][]run[K, V], len(splits))
-	for t, r := range results {
-		if r.err != nil {
-			return nil, stats, fmt.Errorf("mapreduce: map task %d: %w", t, r.err)
+		if res.attempt == 1 && res.err == nil {
+			won.Add(1)
 		}
-		mapOut[t] = r.parts
-		stats.MapOutputs += r.emitted
-		stats.MapInputs += len(splits[t])
-		if r.attempt == 1 {
-			stats.BackupsWon++
-		}
-		j.Counters.Add("map.outputs", int64(r.emitted))
+		return res.parts, res.emitted, res.attempts, res.err
 	}
-
-	outs, redStats, err := j.reducePhase(context.Background(), mapOut, cfg, nil, nil)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.CombineOutputs = redStats.CombineOutputs
-	stats.ReduceGroups = redStats.ReduceGroups
-	stats.Outputs = len(outs)
-	return outs, stats, nil
+	out, st, err := j.runJob(context.Background(), inputs, race, nil)
+	return out, SpecStats{Stats: st, BackupsLaunched: int(launched.Load()), BackupsWon: int(won.Load())}, err
 }

@@ -37,12 +37,8 @@ func (s *StreamJob) RunLines(lines []string) ([]string, Stats, error) {
 		Name:     s.Name,
 		Counters: s.Counters,
 		Config:   s.Config,
-		Map: func(line string, emit func(string, string)) error {
-			return s.Map(line, emit)
-		},
-		Reduce: func(key string, values []string, emit func(string)) error {
-			return s.Reduce(key, values, emit)
-		},
+		Map:      Mapper[string, string, string](s.Map),
+		Reduce:   Reducer[string, string, string](s.Reduce),
 	}
 	out, st, err := job.Run(lines)
 	s.Counters = job.Counters
