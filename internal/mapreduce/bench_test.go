@@ -173,6 +173,41 @@ func benchShuffle1M(b *testing.B, naive bool) {
 func BenchmarkShuffle1M(b *testing.B)      { benchShuffle1M(b, false) }
 func BenchmarkShuffle1MNaive(b *testing.B) { benchShuffle1M(b, true) }
 
+// BenchmarkMapTask1M isolates the map half of BenchmarkWordCount1M:
+// one map task over one split of the uniform corpus — map function,
+// partition, record sort and run building. With BenchmarkShuffle1M it
+// splits the end-to-end number into its two phases.
+func BenchmarkMapTask1M(b *testing.B) {
+	cfg := config1M(false).withDefaults()
+	job := wordCountJobForBench(cfg)
+	split := splitInputs(uniformCorpus1M(), cfg.MapTasks)[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := job.runMapTask(context.Background(), 0, split, cfg, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var partitionSink int
+
+func BenchmarkHashPartitioner(b *testing.B) {
+	keys := uniformCorpus1M()[:1024]
+	b.Run("string", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			partitionSink += HashPartitioner(keys[i%len(keys)], 8)
+		}
+	})
+	b.Run("int", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			partitionSink += HashPartitioner(i*7919, 8)
+		}
+	})
+}
+
 // The out-of-core twins: the same 1M word count with the shuffle
 // budgeted to a fraction of its resident footprint, so every iteration
 // spills and multi-pass-merges through disk. The delta against

@@ -307,7 +307,7 @@ func (j *Job[I, K, V, O]) reducePartition(ctx context.Context, cfg Config[K], in
 	ps, err := merge(func(key K, values []V, gi int) error {
 		hGroup.Observe(float64(len(values)))
 		attempts, rerr := retryTask(ctx, cfg.MaxAttempts, cfg.RetryBackoff,
-			retrySeed(cfg), fmt.Sprintf("reduce:%d:%d", p, gi), func(attempt int) error {
+			retrySeed(cfg), func() string { return fmt.Sprintf("reduce:%d:%d", p, gi) }, func(attempt int) error {
 				if inj.TaskFails("reduce", attempt, p, gi) {
 					return fault.ErrInjected
 				}

@@ -201,14 +201,7 @@ func TestFleetRejectsSingleProcessFeatures(t *testing.T) {
 func TestRunRoundTrip(t *testing.T) {
 	w := StringIntWire()
 	kvs := []KV[string, int]{{"alpha", 1}, {"alpha", 2}, {"beta", 7}, {"longerkeythanprefix", 3}}
-	pairs := make([]prefKV[string, int], len(kvs))
-	for i, kv := range kvs {
-		pairs[i] = prefKV[string, int]{pref: keyPrefix(kv.Key), seq: int32(i), kv: kv}
-	}
-	r, err := buildRun(pairs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := makeRun(kvs)
 	buf := appendRun(nil, &r, w.AppendKey, w.AppendVal)
 	got, rest, err := readRun(buf, w.ReadKey, w.ReadVal)
 	if err != nil {

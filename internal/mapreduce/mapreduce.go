@@ -26,8 +26,10 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -62,12 +64,70 @@ type Combiner[K cmp.Ordered, V any] func(key K, values []V) ([]V, error)
 // deterministic and return a value in [0, nReduce).
 type Partitioner[K cmp.Ordered] func(key K, nReduce int) int
 
-// HashPartitioner is the default: FNV-1a over the key's string form,
-// Hadoop's HashPartitioner in spirit.
+// HashPartitioner is the default: FNV-1a over the key's %v string
+// form, Hadoop's HashPartitioner in spirit. Keys whose type is exactly
+// string or a built-in integer type take an allocation-free fast path
+// that hashes the same bytes fmt would print (the string itself, or
+// the decimal digits), so their partitions match the fmt path exactly.
+// Floats, defined types (whose String method %v honours) and anything
+// else keep the fmt path.
 func HashPartitioner[K cmp.Ordered](key K, nReduce int) int {
-	h := fnv.New32a()
-	fmt.Fprintf(h, "%v", key)
-	return int(h.Sum32() % uint32(nReduce))
+	var h uint32
+	switch v := any(key).(type) {
+	case string:
+		h = fnv1a(v)
+	case int:
+		h = hashInt(int64(v))
+	case int8:
+		h = hashInt(int64(v))
+	case int16:
+		h = hashInt(int64(v))
+	case int32:
+		h = hashInt(int64(v))
+	case int64:
+		h = hashInt(v)
+	case uint:
+		h = hashUint(uint64(v))
+	case uint8:
+		h = hashUint(uint64(v))
+	case uint16:
+		h = hashUint(uint64(v))
+	case uint32:
+		h = hashUint(uint64(v))
+	case uint64:
+		h = hashUint(v)
+	case uintptr:
+		h = hashUint(uint64(v))
+	default:
+		f := fnv.New32a()
+		fmt.Fprintf(f, "%v", key)
+		h = f.Sum32()
+	}
+	return int(h % uint32(nReduce))
+}
+
+// fnv1a is hash/fnv's 32-bit FNV-1a, inlined so hashing a key
+// allocates nothing.
+func fnv1a[B string | []byte](b B) uint32 {
+	const offset32, prime32 = 2166136261, 16777619
+	h := uint32(offset32)
+	for i := 0; i < len(b); i++ {
+		h ^= uint32(b[i])
+		h *= prime32
+	}
+	return h
+}
+
+// hashInt and hashUint hash v's decimal digits (what %v prints),
+// formatted into a stack buffer.
+func hashInt(v int64) uint32 {
+	var digits [20]byte
+	return fnv1a(strconv.AppendInt(digits[:0], v, 10))
+}
+
+func hashUint(v uint64) uint32 {
+	var digits [20]byte
+	return fnv1a(strconv.AppendUint(digits[:0], v, 10))
 }
 
 // Config tunes a job run.
@@ -294,49 +354,73 @@ func (j *Job[I, K, V, O]) runMapTask(ctx context.Context, t int, split []I, cfg 
 // mapAttempts runs map task t's producer under the retry budget (inj
 // may fail attempts) and turns the pairs of the successful attempt into
 // per-partition runs. It returns the runs, the raw emission count, the
-// number of attempts, and the final error.
+// number of attempts, and the final error. The emitted-pair buffer is
+// a pooled mapBuf, reused across attempts and tasks.
 func (j *Job[I, K, V, O]) mapAttempts(ctx context.Context, t int, cfg Config[K], inj *fault.Injector, produce func(emit func(K, V)) error) ([]run[K, V], int, int, error) {
 	var parts []run[K, V]
 	emitted := 0
+	b := getMapBuf[K, V]()
+	defer b.release()
+	emit := func(k K, v V) { b.pairs = append(b.pairs, KV[K, V]{k, v}) }
 	attempts, err := retryTask(ctx, cfg.MaxAttempts, cfg.RetryBackoff,
-		retrySeed(cfg), fmt.Sprintf("map:%d", t), func(attempt int) error {
+		retrySeed(cfg), func() string { return fmt.Sprintf("map:%d", t) }, func(attempt int) error {
 			if inj.TaskFails("map", attempt, t) {
 				return fault.ErrInjected
 			}
-			var pairs []KV[K, V]
-			if err := produce(func(k K, v V) { pairs = append(pairs, KV[K, V]{k, v}) }); err != nil {
+			b.reset()
+			if err := produce(emit); err != nil {
 				return err
 			}
-			emitted = len(pairs)
+			emitted = len(b.pairs)
 			var err error
-			parts, err = partitionRuns(pairs, cfg, j.Combine)
+			parts, err = partitionRuns(b, cfg, j.Combine)
 			return err
 		})
 	return parts, emitted, attempts, err
 }
 
-// partitionRuns routes one map task's pairs to their partitions and
-// turns each partition slice into a sorted, span-compressed run (with
-// map-side combining applied as the spans are built, so combiner jobs
-// shrink data before the shuffle ever sees it). The sort happens here,
-// at map-task granularity, inside the already-parallel map phase — the
-// shuffle then only merges.
-func partitionRuns[K cmp.Ordered, V any](pairs []KV[K, V], cfg Config[K], combine Combiner[K, V]) ([]run[K, V], error) {
-	flat := make([][]prefKV[K, V], cfg.ReduceTasks)
-	for i, kv := range pairs {
-		p := cfg.Partitioner(kv.Key, cfg.ReduceTasks)
-		if p < 0 || p >= cfg.ReduceTasks {
-			return nil, fmt.Errorf("partitioner returned %d for %d partitions", p, cfg.ReduceTasks)
-		}
-		flat[p] = append(flat[p], prefKV[K, V]{pref: keyPrefix(kv.Key), seq: int32(i), kv: kv})
+// partitionRuns routes one map task's pairs (b.pairs) to their
+// partitions and turns each partition into a sorted, span-compressed
+// run (with map-side combining applied as the spans are built, so
+// combiner jobs shrink data before the shuffle ever sees it). The sort
+// happens here, at map-task granularity, inside the already-parallel
+// map phase — the shuffle then only merges.
+//
+// Nothing here scales allocations with the pair count: one counting
+// pass groups the pairs by partition into b.recs, a single flat slice
+// of pointer-free {prefix, emission index} records, sortRecs sorts each
+// partition's segment, and buildRun gathers keys and values through
+// the indices into the run's own exactly sized arrays.
+func partitionRuns[K cmp.Ordered, V any](b *mapBuf[K, V], cfg Config[K], combine Combiner[K, V]) ([]run[K, V], error) {
+	n := cfg.ReduceTasks
+	if uint64(len(b.pairs)) > math.MaxUint32 {
+		return nil, fmt.Errorf("mapreduce: %d pairs in one map task exceed the sort index", len(b.pairs))
 	}
-	parts := make([]run[K, V], cfg.ReduceTasks)
-	cmpPairs := pairCmp[K, V]()
-	for p, fp := range flat {
-		// The emission-sequence tie-break makes this unstable (and
-		// faster) sort produce a stable order.
-		slices.SortFunc(fp, cmpPairs)
-		r, err := buildRun(fp, combine)
+	b.partOf = slices.Grow(b.partOf[:0], len(b.pairs))[:len(b.pairs)]
+	ends := make([]int, n+1) // ends[p+1] counts, then ends, partition p's segment
+	for i, kv := range b.pairs {
+		p := cfg.Partitioner(kv.Key, n)
+		if p < 0 || p >= n {
+			return nil, fmt.Errorf("partitioner returned %d for %d partitions", p, n)
+		}
+		b.partOf[i] = uint32(p)
+		ends[p+1]++
+	}
+	for p := range n {
+		ends[p+1] += ends[p]
+	}
+	b.recs = slices.Grow(b.recs[:0], len(b.pairs))[:len(b.pairs)]
+	next := slices.Clone(ends[:n])
+	for i, kv := range b.pairs {
+		p := b.partOf[i]
+		b.recs[next[p]] = sortRec{pref: keyPrefix(kv.Key), idx: uint32(i)}
+		next[p]++
+	}
+	b.tmp = slices.Grow(b.tmp[:0], len(b.pairs))[:len(b.pairs)]
+	parts := make([]run[K, V], n)
+	for p := range n {
+		seg := sortRecs(b.recs[ends[p]:ends[p+1]], b.tmp[ends[p]:ends[p+1]], b.pairs)
+		r, err := buildRun(b.pairs, seg, combine)
 		if err != nil {
 			return nil, err
 		}
@@ -359,10 +443,12 @@ func retrySeed[K cmp.Ordered](cfg Config[K]) int64 {
 // attempt number), returning the number of attempts made and the last
 // error (nil on success). Between attempts it sleeps a jittered
 // exponential backoff keyed by the task identity (see backoffDelay;
-// zero backoff disables the sleep) — and the sleep is context-aware:
+// zero backoff disables the sleep). key formats that identity; it is
+// called only when a delay is actually computed, so the success path
+// formats nothing — and the sleep is context-aware:
 // ctx cancellation aborts the wait immediately and surfaces ctx.Err()
 // instead of burning the remaining attempts.
-func retryTask(ctx context.Context, maxAttempts int, backoff time.Duration, seed int64, key string, fn func(attempt int) error) (int, error) {
+func retryTask(ctx context.Context, maxAttempts int, backoff time.Duration, seed int64, key func() string, fn func(attempt int) error) (int, error) {
 	var err error
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		if err = fn(attempt); err == nil {
@@ -371,7 +457,11 @@ func retryTask(ctx context.Context, maxAttempts int, backoff time.Duration, seed
 		if attempt == maxAttempts {
 			break
 		}
-		if cerr := sleepContext(ctx, backoffDelay(backoff, seed, key, attempt)); cerr != nil {
+		var d time.Duration
+		if backoff > 0 {
+			d = backoffDelay(backoff, seed, key(), attempt)
+		}
+		if cerr := sleepContext(ctx, d); cerr != nil {
 			return attempt, cerr
 		}
 	}

@@ -20,9 +20,19 @@ package mapreduce
 //   - Every key carries an 8-byte order-preserving prefix. For short
 //     strings and all integer widths the prefix is EXACT: prefix
 //     equality proves key equality, so both the map-side sort and the
-//     merge run on nothing but inline uint64 compares — no string
-//     bytes are touched at all unless keys are 8+ characters and share
-//     their first 7.
+//     merge run on nothing but the uint64 prefixes — no string bytes
+//     are touched at all unless keys are 8+ characters and share their
+//     first 7.
+//
+// The map side allocates nothing per pair. A map attempt appends its
+// pairs to a pooled buffer (mapBuf); partitionRuns makes one counting
+// pass by partition into a single flat slice of pointer-free
+// {prefix, emission index} records (sortRec), radix-sorts each
+// partition's segment on the prefix (sortRecs; a comparison sort only
+// for inexact prefixes and saturated string ties), and buildRun
+// gathers keys and values through the indices into the run. Sorting
+// 16-byte records with no pointers moves no key bytes and pays no GC
+// write barriers.
 //
 // The merge itself comes in two shapes. For small fan-in (the common
 // case: one run per map task) a linear scan of the cursor heads finds
@@ -44,6 +54,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 )
 
 // Prefix exactness classes: what a prefix tie proves about the keys.
@@ -256,22 +268,24 @@ func readRun[K cmp.Ordered, V any](buf []byte, readKey func([]byte) (K, []byte, 
 	return r, buf, nil
 }
 
-// prefKV is the map side's sortable pair: the key's prefix, the
-// emission sequence (the stable-sort tie-break, so an unstable — and
-// faster — sort yields a stable order), and the pair itself.
-type prefKV[K cmp.Ordered, V any] struct {
+// sortRec is the map side's pointer-free sort record: a pair's key
+// prefix and its emission index into the map task's pair buffer (the
+// stable-sort tie-break, so an unstable — and faster — sort yields a
+// stable order). Sorting 16-byte records with no pointers moves no key
+// or value bytes and pays no GC write barriers; keys and values are
+// gathered through idx only once, when the run is built.
+type sortRec struct {
 	pref uint64
-	seq  int32
-	kv   KV[K, V]
+	idx  uint32
 }
 
-// pairCmp returns the map-side sort order for prefKVs: (prefix, key,
-// emission sequence) — never 0 for distinct elements, which is what
-// makes the unstable sort stable. The key compare is skipped entirely
-// when the prefix tie already proves the keys equal.
-func pairCmp[K cmp.Ordered, V any]() func(a, b prefKV[K, V]) int {
+// recCmp returns the map-side sort order for records over pairs:
+// (prefix, key, emission index) — never 0 for distinct records, which
+// is what makes the unstable sort stable. The key compare is skipped
+// entirely when the prefix tie already proves the keys equal.
+func recCmp[K cmp.Ordered, V any](pairs []KV[K, V]) func(a, b sortRec) int {
 	class := prefixClass[K]()
-	return func(a, b prefKV[K, V]) int {
+	return func(a, b sortRec) int {
 		if a.pref != b.pref {
 			if a.pref < b.pref {
 				return -1
@@ -279,49 +293,111 @@ func pairCmp[K cmp.Ordered, V any]() func(a, b prefKV[K, V]) int {
 			return 1
 		}
 		if !prefProvesEqual(class, a.pref) {
-			if c := cmp.Compare(a.kv.Key, b.kv.Key); c != 0 {
+			if c := cmp.Compare(pairs[a.idx].Key, pairs[b.idx].Key); c != 0 {
 				return c
 			}
 		}
-		return cmp.Compare(a.seq, b.seq)
+		return cmp.Compare(a.idx, b.idx)
 	}
 }
 
-// sameKey reports whether two adjacent sorted pairs share a key.
-func sameKey[K cmp.Ordered, V any](class int, a, b *prefKV[K, V]) bool {
-	return a.pref == b.pref && (prefProvesEqual(class, a.pref) || a.kv.Key == b.kv.Key)
+// sortRecs sorts one partition's records into recCmp order and returns
+// the sorted slice, which is seg or tmp (scratch of len(seg)). The
+// records arrive in emission-index order, so when the prefix is exact
+// a stable LSD radix sort on the prefix alone yields exactly (prefix,
+// index) order: one counting pass builds all eight byte histograms, and
+// a byte every record shares costs no pass at all. String prefixes
+// saturated by keys of 8+ bytes then tie-break their runs by key.
+// Types with an inexact prefix fall back to a comparison sort.
+func sortRecs[K cmp.Ordered, V any](seg, tmp []sortRec, pairs []KV[K, V]) []sortRec {
+	class := prefixClass[K]()
+	if len(seg) < 2 {
+		return seg
+	}
+	if class == prefInexact {
+		slices.SortFunc(seg, recCmp(pairs))
+		return seg
+	}
+	var counts [8][256]uint32
+	for _, r := range seg {
+		for d := range counts {
+			counts[d][byte(r.pref>>(8*d))]++
+		}
+	}
+	for d := range counts {
+		c := &counts[d]
+		if c[byte(seg[0].pref>>(8*d))] == uint32(len(seg)) {
+			continue
+		}
+		sum := uint32(0)
+		for b, n := range c {
+			c[b], sum = sum, sum+n
+		}
+		for _, r := range seg {
+			b := byte(r.pref >> (8 * d))
+			tmp[c[b]] = r
+			c[b]++
+		}
+		seg, tmp = tmp, seg
+	}
+	if class == prefExactMarked {
+		cmpRecs := recCmp(pairs)
+		for i := 0; i < len(seg); {
+			j := i + 1
+			for j < len(seg) && seg[j].pref == seg[i].pref {
+				j++
+			}
+			if j-i > 1 && !prefProvesEqual(class, seg[i].pref) {
+				slices.SortFunc(seg[i:j], cmpRecs)
+			}
+			i = j
+		}
+	}
+	return seg
 }
 
-// buildRun span-compresses sorted pairs into a run, applying the
-// combiner (when non-nil) to each key's values as the span is formed.
-// A combiner returning zero values drops its key from the run.
-func buildRun[K cmp.Ordered, V any](pairs []prefKV[K, V], combine Combiner[K, V]) (run[K, V], error) {
+// buildRun span-compresses one partition's sorted records into a run,
+// gathering keys and values from pairs through the records' indices
+// and applying the combiner (when non-nil) to each key's values as the
+// span is formed. A combiner returning zero values drops its key from
+// the run.
+func buildRun[K cmp.Ordered, V any](pairs []KV[K, V], seg []sortRec, combine Combiner[K, V]) (run[K, V], error) {
 	var r run[K, V]
-	if len(pairs) == 0 {
+	if len(seg) == 0 {
 		return r, nil
 	}
 	class := prefixClass[K]()
-	nk := countSpans(class, pairs)
+	// spanEnd is the end of the span of records sharing seg[i]'s key.
+	spanEnd := func(i int) int {
+		j := i + 1
+		for j < len(seg) && seg[j].pref == seg[i].pref &&
+			(prefProvesEqual(class, seg[i].pref) || pairs[seg[j].idx].Key == pairs[seg[i].idx].Key) {
+			j++
+		}
+		return j
+	}
+	nk := 0 // distinct keys, sizing the allocations exactly
+	for i := 0; i < len(seg); i = spanEnd(i) {
+		nk++
+	}
 	r.keys = make([]K, 0, nk)
 	r.prefs = make([]uint64, 0, nk)
 	r.offs = make([]int32, 1, nk+1)
-	r.vals = make([]V, 0, len(pairs))
+	r.vals = make([]V, 0, len(seg))
 	var values []V // combiner scratch
-	for i := 0; i < len(pairs); {
-		j := i + 1
-		for j < len(pairs) && sameKey(class, &pairs[j], &pairs[i]) {
-			j++
-		}
+	for i := 0; i < len(seg); {
+		j := spanEnd(i)
+		key := pairs[seg[i].idx].Key
 		if combine == nil {
-			for _, p := range pairs[i:j] {
-				r.vals = append(r.vals, p.kv.Value)
+			for _, rec := range seg[i:j] {
+				r.vals = append(r.vals, pairs[rec.idx].Value)
 			}
 		} else {
 			values = values[:0]
-			for _, p := range pairs[i:j] {
-				values = append(values, p.kv.Value)
+			for _, rec := range seg[i:j] {
+				values = append(values, pairs[rec.idx].Value)
 			}
-			vs, err := combine(pairs[i].kv.Key, values)
+			vs, err := combine(key, values)
 			if err != nil {
 				return run[K, V]{}, err
 			}
@@ -331,27 +407,48 @@ func buildRun[K cmp.Ordered, V any](pairs []prefKV[K, V], combine Combiner[K, V]
 			}
 			r.vals = append(r.vals, vs...)
 		}
-		r.keys = append(r.keys, pairs[i].kv.Key)
-		r.prefs = append(r.prefs, pairs[i].pref)
+		r.keys = append(r.keys, key)
+		r.prefs = append(r.prefs, seg[i].pref)
 		r.offs = append(r.offs, int32(len(r.vals)))
 		i = j
 	}
 	return r, nil
 }
 
-// countSpans counts the distinct keys of sorted pairs, sizing
-// buildRun's allocations exactly.
-func countSpans[K cmp.Ordered, V any](class int, pairs []prefKV[K, V]) int {
-	n := 0
-	for i := 0; i < len(pairs); {
-		j := i + 1
-		for j < len(pairs) && sameKey(class, &pairs[j], &pairs[i]) {
-			j++
-		}
-		n++
-		i = j
+// mapBuf is one map attempt's scratch: the emitted pairs, each pair's
+// partition, and the sort records. Buffers are recycled through mapBufs
+// across attempts, tasks and jobs, so a steady stream of map tasks
+// stops allocating per pair; the pool, not any job, owns them.
+type mapBuf[K cmp.Ordered, V any] struct {
+	pairs  []KV[K, V]
+	partOf []uint32 // partOf[i] is pairs[i]'s partition
+	recs   []sortRec
+	tmp    []sortRec // sortRecs scratch
+}
+
+// mapBufs pools mapBufs of every instantiation. getMapBuf drops a
+// buffer of another instantiation and makes a fresh one.
+var mapBufs sync.Pool
+
+func getMapBuf[K cmp.Ordered, V any]() *mapBuf[K, V] {
+	if b, ok := mapBufs.Get().(*mapBuf[K, V]); ok {
+		return b
 	}
-	return n
+	return new(mapBuf[K, V])
+}
+
+// reset empties the pair buffer, zeroing the slots the last use wrote,
+// so no slot past len ever holds a key or value: a reused or pooled
+// buffer never pins a finished attempt's input strings.
+func (b *mapBuf[K, V]) reset() {
+	clear(b.pairs)
+	b.pairs = b.pairs[:0]
+}
+
+// release resets b and returns it to the pool.
+func (b *mapBuf[K, V]) release() {
+	b.reset()
+	mapBufs.Put(b)
 }
 
 // cursor is one run's read position (a span index) inside a merge.

@@ -120,19 +120,15 @@ func TestShuffleOracleRandomizedEquivalence(t *testing.T) {
 	}
 }
 
-// makeRun builds a span-compressed run from raw (unsorted) pairs the
-// way the map side does: prefix + emission sequence, sort, compress.
+// makeRun builds a span-compressed run from raw (unsorted) pairs
+// through the map side's own builder: one partition, record sort,
+// span compression.
 func makeRun[K cmp.Ordered, V any](pairs []KV[K, V]) run[K, V] {
-	fp := make([]prefKV[K, V], len(pairs))
-	for i, kv := range pairs {
-		fp[i] = prefKV[K, V]{pref: keyPrefix(kv.Key), seq: int32(i), kv: kv}
-	}
-	slices.SortFunc(fp, pairCmp[K, V]())
-	r, err := buildRun(fp, nil)
+	parts, err := partitionRuns(&mapBuf[K, V]{pairs: pairs}, Config[K]{ReduceTasks: 1, Partitioner: HashPartitioner[K]}, nil)
 	if err != nil {
 		panic(err)
 	}
-	return r
+	return parts[0]
 }
 
 // The oracle above runs jobs end to end; this pins the merge itself
